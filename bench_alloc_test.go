@@ -1,8 +1,8 @@
 // BenchmarkHotLoopAllocs pins the allocation behavior of the hot phase and
 // superstep loops that hotpath-alloc polices: the shared-memory MS-BFS-Graft
 // engine (per-phase counter scratch), PF and push-relabel (round-invariant
-// parallel bodies and activation lists), and the distributed engine under
-// fault injection (superstep closures and transport scratch). Run with
+// parallel bodies and activation lists), and the distributed BSP engine
+// (superstep closures). Run with
 //
 //	go test -bench=HotLoopAllocs -benchmem -run=^$ .
 //
@@ -55,12 +55,11 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 			_ = exps.RunWith(exps.AlgoGraft, g, p, rec)
 		}
 	})
-	b.Run("Dist-faulty", func(b *testing.B) {
+	b.Run("Dist", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := base.Clone()
-			_ = dist.Run(g, m, dist.Options{Ranks: 4, Grafting: true,
-				Faults: &dist.Faults{Seed: 1, Drop: 0.1, Duplicate: 0.05}})
+			_ = dist.Run(g, m, dist.Options{Ranks: 4, Grafting: true})
 		}
 	})
 }

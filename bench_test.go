@@ -229,28 +229,6 @@ func BenchmarkAblationAlpha(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationVisited compares the int32 visited array against the
-// atomic bit vector (the paper's __sync_fetch_and_or scheme).
-func BenchmarkAblationVisited(b *testing.B) {
-	for _, inst := range exps.Fig1Suite(benchScale) {
-		for _, bm := range []bool{false, true} {
-			name := inst.Name + "/array"
-			if bm {
-				name = inst.Name + "/bitvector"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					m := matchinit.Greedy(inst.Graph)
-					core.Run(inst.Graph, m, core.Options{
-						Threads: fullThreads(), DirectionOptimized: true,
-						Grafting: true, VisitedBitmap: bm,
-					}.Defaults())
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAblationInit compares initializer heuristics feeding the exact
 // algorithm.
 func BenchmarkAblationInit(b *testing.B) {

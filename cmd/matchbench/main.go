@@ -34,16 +34,15 @@ var experiments = map[string]func(exps.Config) []*exps.Table{
 	"psi":  func(c exps.Config) []*exps.Table { return []*exps.Table{exps.Psi(c)} },
 
 	// Ablations and extensions beyond the paper's figures.
-	"abl-alpha":   func(c exps.Config) []*exps.Table { return []*exps.Table{exps.AblationAlpha(c)} },
-	"abl-init":    func(c exps.Config) []*exps.Table { return []*exps.Table{exps.AblationInit(c)} },
-	"abl-visited": func(c exps.Config) []*exps.Table { return []*exps.Table{exps.AblationVisited(c)} },
-	"dist":        func(c exps.Config) []*exps.Table { return []*exps.Table{exps.Distributed(c)} },
-	"fig7xl":      func(c exps.Config) []*exps.Table { return []*exps.Table{exps.Fig7XL(c)} },
+	"abl-alpha": func(c exps.Config) []*exps.Table { return []*exps.Table{exps.AblationAlpha(c)} },
+	"abl-init":  func(c exps.Config) []*exps.Table { return []*exps.Table{exps.AblationInit(c)} },
+	"dist":      func(c exps.Config) []*exps.Table { return []*exps.Table{exps.Distributed(c)} },
+	"fig7xl":    func(c exps.Config) []*exps.Table { return []*exps.Table{exps.Fig7XL(c)} },
 }
 
 // order fixes the presentation sequence of -exp all.
 var order = []string{"tab1", "tab2", "fig1", "fig3", "psi", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"abl-alpha", "abl-init", "abl-visited", "dist", "fig7xl"}
+	"abl-alpha", "abl-init", "dist", "fig7xl"}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {

@@ -2,30 +2,22 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 
 	"graftmatch/internal/analysis/flow"
 )
 
-// AliasedLock is the aliased-lock check: mutexes locked through the wrong
-// identity. Two families of defects are reported:
-//
-//   - mutex-by-value: a value copy of a struct containing a sync.Mutex or
-//     sync.RWMutex is locked — through a value receiver, a range-by-value
-//     loop variable, a by-value parameter, or a local struct copy. The copy
-//     has its own (unlocked) mutex, so the "critical section" excludes
-//     nobody.
-//   - alias double-lock: X.Lock() runs while the same underlying mutex is
-//     already must-held under a different syntactic name (`m := &s.mu;
-//     s.mu.Lock(); m.Lock()`). Same-name double locks belong to
-//     lock-discipline; this rule closes the alias gap using the points-to
-//     layer.
+// AliasedLock is the aliased-lock check: alias double-locks. X.Lock() runs
+// while the same underlying mutex is already must-held under a different
+// syntactic name (`m := &s.mu; s.mu.Lock(); m.Lock()`). Same-name double
+// locks belong to lock-discipline; this rule closes the alias gap using the
+// points-to layer. Locking a by-value copy of a mutex-bearing struct is left
+// to go vet's copylocks pass, which reports the copy where it is made.
 func AliasedLock() Check {
 	return Check{
 		Name:  "aliased-lock",
-		Doc:   "mutexes are locked through their one true identity, never a copy or a conflicting alias",
+		Doc:   "a mutex already held is never locked again through an alias",
 		Level: "error",
 		Run:   runAliasedLock,
 	}
@@ -34,17 +26,6 @@ func AliasedLock() Check {
 func runAliasedLock(prog *Program) []Diagnostic {
 	fs := prog.ptInfo()
 	var out []Diagnostic
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, copiedMutexDefects(prog, pkg, fd)...)
-			}
-		}
-	}
 	for _, fn := range fs.valueFuncs() {
 		pkg := fs.pkgFor(fn)
 		if pkg == nil {
@@ -54,155 +35,6 @@ func runAliasedLock(prog *Program) []Diagnostic {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos.Offset < out[j].Pos.Offset })
 	return out
-}
-
-// hasMutexField reports whether t (a non-pointer type) contains a
-// sync.Mutex/sync.RWMutex by value, directly or through nested structs
-// (depth-limited).
-func hasMutexField(t types.Type, depth int) bool {
-	if isSyncType(t, "Mutex") || isSyncType(t, "RWMutex") {
-		if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-			return true
-		}
-		return false
-	}
-	if depth == 0 {
-		return false
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if hasMutexField(st.Field(i).Type(), depth-1) {
-			return true
-		}
-	}
-	return false
-}
-
-// copyOrigin describes why a variable holds a copy of a mutex-bearing value.
-type copyOrigin struct {
-	why string // "value receiver", "range-by-value loop variable", ...
-	pos token.Pos
-}
-
-// copiedMutexDefects scans one declared function (literals included) for
-// lock operations whose receiver chain roots at a variable known to hold a
-// by-value copy of a mutex-bearing struct.
-func copiedMutexDefects(prog *Program, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
-	copies := map[*types.Var]copyOrigin{}
-	addVar := func(id *ast.Ident, why string) {
-		v, _ := pkg.Info.Defs[id].(*types.Var)
-		if v == nil || v.Name() == "_" {
-			return
-		}
-		if hasMutexField(v.Type(), 3) {
-			copies[v] = copyOrigin{why: why, pos: id.Pos()}
-		}
-	}
-	params := func(ft *ast.FuncType) {
-		if ft.Params == nil {
-			return
-		}
-		for _, fld := range ft.Params.List {
-			if _, isPtr := fld.Type.(*ast.StarExpr); isPtr {
-				continue
-			}
-			for _, name := range fld.Names {
-				addVar(name, "by-value parameter")
-			}
-		}
-	}
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		fld := fd.Recv.List[0]
-		if _, isPtr := fld.Type.(*ast.StarExpr); !isPtr {
-			for _, name := range fld.Names {
-				addVar(name, "value receiver")
-			}
-		}
-	}
-	params(fd.Type)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			params(n.Type)
-		case *ast.RangeStmt:
-			if n.Tok == token.DEFINE {
-				if id, ok := n.Value.(*ast.Ident); ok {
-					addVar(id, "range-by-value loop variable")
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i, l := range n.Lhs {
-				id, ok := l.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				// Copies, not fresh values: dereferences, plain variable
-				// reads, and element loads. Composite literals and call
-				// results are new values whose mutex nobody else holds.
-				switch ast.Unparen(n.Rhs[i]).(type) {
-				case *ast.StarExpr, *ast.Ident, *ast.IndexExpr, *ast.SelectorExpr:
-					if n.Tok == token.DEFINE {
-						addVar(id, "struct copy")
-					}
-				}
-			}
-		}
-		return true
-	})
-	if len(copies) == 0 {
-		return nil
-	}
-	var out []Diagnostic
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		m, ok := lockOp(pkg, call)
-		if !ok || !m.acquire {
-			return true
-		}
-		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		base := chainRootVar(pkg.Info, sel.X)
-		if base == nil {
-			return true
-		}
-		if origin, isCopy := copies[base]; isCopy {
-			out = append(out, prog.diag(call.Pos(), "aliased-lock",
-				"%s locks a mutex inside %s, a %s (%s): the copy's mutex guards nothing shared; use a pointer",
-				m.lockKey, base.Name(), origin.why, prog.shortPos(origin.pos)))
-		}
-		return true
-	})
-	return out
-}
-
-// chainRootVar resolves the base variable of an ident/selector chain
-// ("c.mu" → c); nil for chains through calls or indexing.
-func chainRootVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			v, _ := info.Uses[x].(*types.Var)
-			return v
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // aliasDoubleLockDefects reports write-mode Lock acquisitions of a mutex

@@ -109,6 +109,28 @@ func writerCtxLabel(fs *flowState, fn *flow.Func) string {
 	return "main (multi-instance)"
 }
 
+// chainRootVar resolves the base variable of an ident/selector chain
+// ("c.mu" → c); nil for chains through calls or indexing.
+func chainRootVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			v, _ := info.Uses[x].(*types.Var)
+			return v
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 // globalWrite is one store whose target chain roots at a watched global.
 type globalWrite struct {
 	v   *types.Var

@@ -80,9 +80,9 @@ func DefaultConfig() Config {
 		},
 		PanicPackages: []string{"internal/par"},
 		HotPackages: []string{
-			"internal/core", "internal/msbfs", "internal/queue",
-			"internal/dist", "internal/dist/net", "internal/pf",
-			"internal/pushrelabel", "internal/obs", "internal/serve",
+			"internal/core", "internal/queue", "internal/dist",
+			"internal/dist/net", "internal/pf", "internal/pushrelabel",
+			"internal/obs", "internal/serve",
 		},
 	}
 }

@@ -1,5 +1,5 @@
-// Package neg holds aliased-lock negatives: pointer receivers, pointer
-// loop variables, fresh values, and distinct mutexes.
+// Package neg holds aliased-lock negatives: an alias locked once and
+// distinct mutexes locked together.
 package neg
 
 import "sync"
@@ -7,30 +7,6 @@ import "sync"
 type counter struct {
 	mu sync.Mutex
 	n  int
-}
-
-// Pointer receiver locks the shared mutex.
-func (c *counter) Inc() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// Ranging over pointers copies only the pointer.
-func RangePtrs(cs []*counter) {
-	for _, c := range cs {
-		c.mu.Lock()
-		c.n++
-		c.mu.Unlock()
-	}
-}
-
-// A composite literal is a fresh value, not a copy of anything shared.
-func Fresh() int {
-	c := counter{}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
 }
 
 // An alias locked exactly once is fine; so are two distinct mutexes.

@@ -8,37 +8,6 @@ type counter struct {
 	n  int
 }
 
-// Value receiver: every call locks a private copy.
-func (c counter) IncByValue() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// Range-by-value: the loop variable copies each element, mutex included.
-func RangeCopy(cs []counter) {
-	for _, c := range cs {
-		c.mu.Lock()
-		c.n++
-		c.mu.Unlock()
-	}
-}
-
-// Dereference copy: c is a snapshot of *p, with a snapshot mutex.
-func DerefCopy(p *counter) {
-	c := *p
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// By-value parameter: the caller's mutex never moves with the copy.
-func ByValueParam(c counter) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // Alias double-lock: m and p.mu are the same mutex under two names.
 func AliasDouble(p *counter) {
 	m := &p.mu
@@ -51,5 +20,4 @@ func AliasDouble(p *counter) {
 func use() {
 	c := &counter{}
 	AliasDouble(c)
-	DerefCopy(c)
 }

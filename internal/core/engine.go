@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"graftmatch/internal/bipartite"
-	"graftmatch/internal/bitmap"
 	"graftmatch/internal/matching"
 	"graftmatch/internal/par"
 	"graftmatch/internal/queue"
@@ -45,12 +44,11 @@ type engine struct {
 	// spawn-per-call default when Options.Sched is unset).
 	sched par.Scheduler
 
-	visited []int32        // Y: 0 unvisited, 1 claimed by a tree this phase
-	bits    *bitmap.Bitmap // Y: bit-vector alternative to visited (VisitedBitmap)
-	parentY []int32        // Y: parent X vertex in its alternating tree
-	rootX   []int32        // X: root of the tree containing x, or none
-	rootY   []int32        // Y: root of the tree containing y, or none
-	leaf    []int32        // X (roots): unmatched Y leaf ending an augmenting path
+	visited []int32 // Y: 0 unvisited, 1 claimed by a tree this phase
+	parentY []int32 // Y: parent X vertex in its alternating tree
+	rootX   []int32 // X: root of the tree containing x, or none
+	rootY   []int32 // Y: root of the tree containing y, or none
+	leaf    []int32 // X (roots): unmatched Y leaf ending an augmenting path
 
 	cur, next *queue.Frontier // frontier F (X vertices) double buffer
 	locals    []queue.Local
@@ -132,6 +130,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		opts:       opts,
 		ctx:        ctx,
 		sched:      par.SchedulerOrSpawn(opts.Sched),
+		visited:    make([]int32, ny),
 		parentY:    make([]int32, ny),
 		rootX:      make([]int32, nx),
 		rootY:      make([]int32, ny),
@@ -152,11 +151,6 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 			Algorithm: algorithmName(opts),
 			Threads:   opts.Threads,
 		},
-	}
-	if opts.VisitedBitmap {
-		e.bits = bitmap.New(ny)
-	} else {
-		e.visited = make([]int32, ny)
 	}
 	e.locals = queue.NewLocals(opts.Threads, e.next)
 	e.stats.InitialCardinality = m.Cardinality()
@@ -237,7 +231,7 @@ func (e *engine) run() {
 
 	if !e.pfor(ny, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.visitedClear(int32(i))
+			e.visited[i] = 0
 			e.rootY[i] = none
 			e.parentY[i] = none
 		}
@@ -402,10 +396,10 @@ func (e *engine) topDown() {
 			nbr := e.g.NbrX(x)
 			edges += int64(len(nbr))
 			for _, y := range nbr {
-				if e.visitedTest(y) {
+				if atomic.LoadInt32(&e.visited[y]) != 0 {
 					continue
 				}
-				if !e.visitedTryClaim(y) {
+				if !atomic.CompareAndSwapInt32(&e.visited[y], 0, 1) {
 					continue
 				}
 				claims++
@@ -443,10 +437,10 @@ func (e *engine) topDownSerial() {
 		nbr := e.g.NbrX(x)
 		edges += int64(len(nbr))
 		for _, y := range nbr {
-			if e.visitedTest(y) {
+			if e.visited[y] != 0 {
 				continue
 			}
-			e.visitedSetOwned(y)
+			e.visited[y] = 1
 			claims++
 			claimedDeg += e.g.DegY(y)
 			e.parentY[y] = x
@@ -473,7 +467,7 @@ func (e *engine) collectUnvisitedY() []int32 {
 		var buf [256]int32
 		n := 0
 		for y := lo; y < hi; y++ {
-			if !e.visitedTest(int32(y)) {
+			if e.visited[y] == 0 {
 				if n == len(buf) {
 					e.unvisQ.PushBlock(buf[:n])
 					n = 0
@@ -513,7 +507,7 @@ func (e *engine) bottomUp(r []int32) {
 				}
 				claims++
 				claimedDeg += e.g.DegY(y)
-				e.visitedSetOwned(y)
+				e.visited[y] = 1
 				e.parentY[y] = x
 				e.rootY[y] = root
 				if mate := mateY[y]; mate != none {
@@ -546,7 +540,7 @@ func (e *engine) bottomUpSerial(r []int32) {
 			}
 			claims++
 			claimedDeg += e.g.DegY(y)
-			e.visitedSetOwned(y)
+			e.visited[y] = 1
 			e.parentY[y] = x
 			e.rootY[y] = root
 			if mate := mateY[y]; mate != none {
@@ -684,7 +678,7 @@ func (e *engine) graftStep() {
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := renewable[i]
-			e.visitedClear(y)
+			e.visited[y] = 0
 			e.rootY[y] = none
 			e.parentY[y] = none
 			deg += e.g.DegY(y)
@@ -719,7 +713,7 @@ func (e *engine) graftStep() {
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := active[i]
-			e.visitedClear(y)
+			e.visited[y] = 0
 			e.rootY[y] = none
 			e.parentY[y] = none
 			deg += e.g.DegY(y)
@@ -742,40 +736,4 @@ func (e *engine) graftStep() {
 	e.stats.Rebuilds++
 	e.met.rebuilds.Add(0, 1)
 	e.recordStep(matching.StepGraft, "rebuild", t, int64(len(active)))
-}
-
-// visitedTest reports whether y is claimed, using whichever visited
-// representation the run was configured with.
-func (e *engine) visitedTest(y int32) bool {
-	if e.bits != nil {
-		return e.bits.Test(y)
-	}
-	return atomic.LoadInt32(&e.visited[y]) != 0
-}
-
-// visitedTryClaim atomically claims y, reporting whether this caller won.
-func (e *engine) visitedTryClaim(y int32) bool {
-	if e.bits != nil {
-		return e.bits.TestAndSet(y)
-	}
-	return atomic.CompareAndSwapInt32(&e.visited[y], 0, 1)
-}
-
-// visitedSetOwned marks y claimed from a context that owns y exclusively
-// (bottom-up, where each y is processed by one worker).
-func (e *engine) visitedSetOwned(y int32) {
-	if e.bits != nil {
-		e.bits.Set(y)
-		return
-	}
-	e.visited[y] = 1
-}
-
-// visitedClear unclaims y at a phase barrier.
-func (e *engine) visitedClear(y int32) {
-	if e.bits != nil {
-		e.bits.Clear(y)
-		return
-	}
-	e.visited[y] = 0
 }

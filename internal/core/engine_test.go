@@ -246,6 +246,52 @@ func TestAlgorithmNames(t *testing.T) {
 	}
 }
 
+// TestMSBFSMatchesReference: plain MS-BFS (neither grafting nor direction
+// optimization, the first rung of the Fig. 7 ablation) reaches the
+// Hopcroft–Karp cardinality serial and parallel, under its paper name,
+// without grafting or bottom-up levels.
+func TestMSBFSMatchesReference(t *testing.T) {
+	g := gen.ER(300, 300, 1200, 1)
+	ref := matching.New(g.NX(), g.NY())
+	hk.Run(g, ref)
+	for _, p := range []int{1, 4} {
+		m := matchinit.KarpSipser(g, 1)
+		stats := Run(g, m, Options{Threads: p}.Defaults())
+		if m.Cardinality() != ref.Cardinality() {
+			t.Fatalf("p=%d: %d, want %d", p, m.Cardinality(), ref.Cardinality())
+		}
+		if stats.Algorithm != "MS-BFS" {
+			t.Fatalf("algorithm name %q", stats.Algorithm)
+		}
+		if stats.Grafts != 0 {
+			t.Fatalf("plain MS-BFS grafted %d times", stats.Grafts)
+		}
+		if stats.BottomUpLevels != 0 {
+			t.Fatalf("plain MS-BFS used bottom-up")
+		}
+	}
+}
+
+// TestMSBFSDirOptMatchesReference: MS-BFS with direction optimization but
+// no grafting (the middle rung of the Fig. 7 ablation) reaches the
+// Hopcroft–Karp cardinality under its paper name without grafting.
+func TestMSBFSDirOptMatchesReference(t *testing.T) {
+	g := gen.ER(400, 400, 4000, 2)
+	ref := matching.New(g.NX(), g.NY())
+	hk.Run(g, ref)
+	m := matching.New(g.NX(), g.NY())
+	stats := Run(g, m, Options{Threads: 2, DirectionOptimized: true}.Defaults())
+	if m.Cardinality() != ref.Cardinality() {
+		t.Fatalf("%d, want %d", m.Cardinality(), ref.Cardinality())
+	}
+	if stats.Algorithm != "MS-BFS+DirOpt" {
+		t.Fatalf("algorithm name %q", stats.Algorithm)
+	}
+	if stats.Grafts != 0 {
+		t.Fatal("dir-opt variant must not graft")
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.Defaults()
 	if o.Threads < 1 || o.Alpha != DefaultAlpha {
@@ -331,36 +377,6 @@ func ExampleRun() {
 	// Output: 2
 }
 
-// TestVisitedBitmapEquivalence: the bit-vector visited representation must
-// produce the same cardinality and certificate as the int32 array, serial
-// and parallel, across all feature combinations.
-func TestVisitedBitmapEquivalence(t *testing.T) {
-	graphs := []*bipartite.Graph{
-		gen.ER(300, 280, 1100, 21),
-		gen.WebLike(9, 5, 0.35, 22),
-		gen.Grid(15, 15),
-	}
-	for gi, g := range graphs {
-		for _, p := range []int{1, 4} {
-			a := matchinit.KarpSipser(g, 5)
-			b := a.Clone()
-			sa := Run(g, a, Options{Threads: p, DirectionOptimized: true, Grafting: true}.Defaults())
-			ob := Options{Threads: p, DirectionOptimized: true, Grafting: true, VisitedBitmap: true}.Defaults()
-			sb := Run(g, b, ob)
-			if a.Cardinality() != b.Cardinality() {
-				t.Fatalf("graph %d p=%d: bitmap %d vs array %d", gi, p, b.Cardinality(), a.Cardinality())
-			}
-			if err := matching.VerifyMaximum(g, b); err != nil {
-				t.Fatalf("graph %d p=%d: %v", gi, p, err)
-			}
-			if p == 1 && sa.EdgesTraversed != sb.EdgesTraversed {
-				t.Fatalf("serial determinism broken across representations: %d vs %d",
-					sa.EdgesTraversed, sb.EdgesTraversed)
-			}
-		}
-	}
-}
-
 // TestIdempotentRerun: running the engine on an already-maximum matching
 // must terminate in one phase with zero augmentations.
 func TestIdempotentRerun(t *testing.T) {
@@ -396,29 +412,26 @@ func TestAsymmetricShapes(t *testing.T) {
 	}
 }
 
-// TestAllFeatureAndRepresentationCombos: every option axis together.
-func TestAllFeatureAndRepresentationCombos(t *testing.T) {
+// TestAllFeatureCombos: every option axis together.
+func TestAllFeatureCombos(t *testing.T) {
 	g := gen.WebLike(8, 5, 0.3, 33)
 	refM := matchinit.Greedy(g)
 	hk.Run(g, refM)
 	for _, p := range []int{1, 3} {
 		for _, dirOpt := range []bool{false, true} {
 			for _, graft := range []bool{false, true} {
-				for _, bm := range []bool{false, true} {
-					for _, trace := range []bool{false, true} {
-						m := matchinit.Greedy(g)
-						s := Run(g, m, Options{
-							Threads: p, DirectionOptimized: dirOpt,
-							Grafting: graft, VisitedBitmap: bm,
-							TraceFrontiers: trace,
-						}.Defaults())
-						if m.Cardinality() != refM.Cardinality() {
-							t.Fatalf("p=%d dir=%v graft=%v bm=%v: %d want %d",
-								p, dirOpt, graft, bm, m.Cardinality(), refM.Cardinality())
-						}
-						if trace && int64(len(s.FrontierTrace)) != s.Phases {
-							t.Fatalf("trace phases %d != %d", len(s.FrontierTrace), s.Phases)
-						}
+				for _, trace := range []bool{false, true} {
+					m := matchinit.Greedy(g)
+					s := Run(g, m, Options{
+						Threads: p, DirectionOptimized: dirOpt,
+						Grafting: graft, TraceFrontiers: trace,
+					}.Defaults())
+					if m.Cardinality() != refM.Cardinality() {
+						t.Fatalf("p=%d dir=%v graft=%v: %d want %d",
+							p, dirOpt, graft, m.Cardinality(), refM.Cardinality())
+					}
+					if trace && int64(len(s.FrontierTrace)) != s.Phases {
+						t.Fatalf("trace phases %d != %d", len(s.FrontierTrace), s.Phases)
 					}
 				}
 			}

@@ -27,7 +27,7 @@ func checkForestInvariants(t *testing.T, e *engine) {
 	g := e.g
 	for yi := 0; yi < int(g.NY()); yi++ {
 		y := int32(yi)
-		if !e.visitedTest(y) {
+		if e.visited[y] == 0 {
 			if e.rootY[y] != none {
 				t.Fatalf("unvisited y=%d has root %d", y, e.rootY[y])
 			}
@@ -83,7 +83,7 @@ func checkForestInvariants(t *testing.T, e *engine) {
 			continue
 		}
 		if leaf := e.leaf[x]; leaf != none {
-			if !e.visitedTest(leaf) {
+			if e.visited[leaf] == 0 {
 				t.Fatalf("leaf[%d]=%d not visited", x, leaf)
 			}
 			if e.m.MateY[leaf] != none {
@@ -111,12 +111,6 @@ func TestPhaseInvariants(t *testing.T) {
 		{"graft", Options{Threads: 1, Grafting: true}.Defaults()},
 		{"full", FullOptions(1)},
 	}
-	bitmapFull := FullOptions(1)
-	bitmapFull.VisitedBitmap = true
-	optionCases = append(optionCases, struct {
-		name string
-		opts Options
-	}{"full-bitmap", bitmapFull})
 
 	graphCases := []struct {
 		name string

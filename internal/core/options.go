@@ -49,12 +49,6 @@ type Options struct {
 	// Stats.FrontierTrace (Fig. 8). Costs one append per level.
 	TraceFrontiers bool
 
-	// VisitedBitmap stores the Y visited flags in an atomic bit vector
-	// (the paper's __sync_fetch_and_or scheme) instead of an int32 array:
-	// 32x less memory traffic, more word-level contention. Results are
-	// identical; see BenchmarkAblationVisited for the trade-off.
-	VisitedBitmap bool
-
 	// OnPhase, when non-nil, is invoked on the driver goroutine after every
 	// completed phase (a consistent point: no parallel region is active and
 	// the mate arrays form a valid matching) with the phase count and the

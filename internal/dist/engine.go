@@ -26,21 +26,15 @@ type Options struct {
 	// GOMAXPROCS. Purely an execution detail of the simulation.
 	Workers int
 
-	// Faults, when non-nil, injects deterministic seeded network faults
-	// (drops, duplicates, stalls) recovered by the retransmit/ack
-	// transport; see Faults. The computed matching, superstep count, and
-	// logical message count are identical to a fault-free run.
-	Faults *Faults
-
 	// OnPhase, when non-nil, is invoked on the driver goroutine after every
 	// completed phase (augmentation done, mate arrays consistent) with the
 	// phase count and the current cardinality.
 	OnPhase func(phase, cardinality int64)
 
-	// Recorder, when non-nil, receives superstep/message/retransmit
-	// counters, per-superstep and per-phase spans, and phase status updates.
-	// All recording happens on the driver goroutine between supersteps; the
-	// nil default is a no-op.
+	// Recorder, when non-nil, receives superstep/message/phase counters,
+	// per-superstep and per-phase spans, and phase status updates. All
+	// recording happens on the driver goroutine between supersteps; the nil
+	// default is a no-op.
 	Recorder *obs.Recorder
 }
 
@@ -50,11 +44,7 @@ type Stats struct {
 	*matching.Stats
 	Ranks      int
 	Supersteps int64
-	Messages   int64 // logical point-to-point messages (retransmits excluded)
-
-	// Faults reports injected-fault and recovery counters; nil unless
-	// Options.Faults enabled injection.
-	Faults *FaultStats
+	Messages   int64 // logical point-to-point messages plus collective volume
 }
 
 // message kinds exchanged between ranks.
@@ -127,7 +117,6 @@ type Engine struct {
 	op   ops // shared per-rank superstep bodies (see ops.go)
 
 	ranks []*rank
-	tr    *transport // nil: the network is reliable
 
 	// census accumulators indexed by rank id, reused across phases.
 	censusAX, censusRY []int64
@@ -135,13 +124,10 @@ type Engine struct {
 	stats Stats
 
 	// Observability handles; all nil-safe (nil Recorder → nil counters →
-	// no-op Add). lastSS anchors per-superstep spans; prevFaults is the cut
-	// against which fault-counter deltas are exported at phase boundaries.
-	rec                                *obs.Recorder
-	mSupersteps, mMessages, mPhases    *obs.Counter
-	mRetransmits, mAcksLost, mTimeouts *obs.Counter
-	lastSS                             time.Time
-	prevFaults                         FaultStats
+	// no-op Add). lastSS anchors per-superstep spans.
+	rec                             *obs.Recorder
+	mSupersteps, mMessages, mPhases *obs.Counter
+	lastSS                          time.Time
 }
 
 // New prepares a distributed run over g with an initial matching m (the
@@ -168,17 +154,10 @@ func New(g *bipartite.Graph, opts Options) *Engine {
 	}
 	e.censusAX = make([]int64, e.part.K)
 	e.censusRY = make([]int64, e.part.K)
-	if opts.Faults != nil {
-		e.stats.Faults = &FaultStats{}
-		e.tr = newTransport(*opts.Faults, e.stats.Faults)
-	}
 	e.rec = opts.Recorder
 	e.mSupersteps = e.rec.Counter("graftmatch_dist_supersteps_total", "BSP supersteps (network rounds) executed")
 	e.mMessages = e.rec.Counter("graftmatch_dist_messages_total", "logical point-to-point messages plus collective broadcast volume")
 	e.mPhases = e.rec.Counter("graftmatch_dist_phases_total", "completed distributed search phases")
-	e.mRetransmits = e.rec.Counter("graftmatch_dist_retransmits_total", "transport retransmits recovering dropped packets")
-	e.mAcksLost = e.rec.Counter("graftmatch_dist_acks_lost_total", "acknowledgements lost in transit (sender retransmits a delivered packet)")
-	e.mTimeouts = e.rec.Counter("graftmatch_dist_timeouts_total", "per-packet delivery attempts that exhausted the retransmit budget")
 	return e
 }
 
@@ -254,9 +233,8 @@ func (e *Engine) eachRank(body func(*rank)) {
 // exchange delivers all outboxes: rank d's inbox becomes the concatenation
 // of out[s][d] in source order (a deterministic alltoallv), and the
 // replicated renewable bitmap absorbs every rank's newRenewable roots (a
-// collective, always on the reliable channel). Under fault injection the
-// point-to-point deliveries route through the retransmit/ack transport,
-// which reassembles each inbox in the exact same order.
+// collective). Delivery is reliable: the BSP engine is a deterministic cost
+// model, and network faults are the cluster runtime's concern (dist/net).
 func (e *Engine) exchange() {
 	e.stats.Supersteps++
 	var allNew []int32
@@ -284,13 +262,6 @@ func (e *Engine) exchange() {
 		e.lastSS = now
 	}
 
-	if e.tr != nil {
-		e.tr.deliver(e.ranks) // fills every inbox, clears every outbox
-		e.eachRank(func(d *rank) {
-			e.op.mergeRenewable(d, allNew)
-		})
-		return
-	}
 	e.eachRank(func(d *rank) {
 		d.in = d.in[:0]
 		for _, s := range e.ranks {
@@ -305,23 +276,10 @@ func (e *Engine) exchange() {
 	}
 }
 
-// netErr surfaces a tripped transport outage (Faults.FailAfterTimeouts).
-// Polled at the same safe points as the context — never mid-augmentation —
-// so the gathered matching is always consistent when it fires.
-func (e *Engine) netErr() error {
-	if e.tr != nil && e.tr.failed {
-		return &TransientError{Timeouts: e.stats.Faults.Timeouts}
-	}
-	return nil
-}
-
 func (e *Engine) run(ctx context.Context) error {
 	e.seedFromUnmatched()
 	for {
 		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := e.netErr(); err != nil {
 			return err
 		}
 		phaseStart := time.Now()
@@ -338,19 +296,13 @@ func (e *Engine) run(ctx context.Context) error {
 	}
 }
 
-// phaseDone exports the phase boundary: fault-counter deltas since the last
-// cut, one phase span, the recorder status update, and the OnPhase hook. The
-// mate arrays are consistent here (augmentation walks have drained), so the
-// reported cardinality is the matching a gather at this instant would see.
+// phaseDone exports the phase boundary: one phase span, the recorder status
+// update, and the OnPhase hook. The mate arrays are consistent here
+// (augmentation walks have drained), so the reported cardinality is the
+// matching a gather at this instant would see.
 func (e *Engine) phaseDone(phaseStart time.Time) {
 	card := e.stats.InitialCardinality + e.stats.AugPaths
 	e.mPhases.Add(0, 1)
-	if f := e.stats.Faults; f != nil {
-		e.mRetransmits.Add(0, f.Retransmits-e.prevFaults.Retransmits)
-		e.mAcksLost.Add(0, f.AcksLost-e.prevFaults.AcksLost)
-		e.mTimeouts.Add(0, f.Timeouts-e.prevFaults.Timeouts)
-		e.prevFaults = *f
-	}
 	e.rec.Span("dist", "phase", phaseStart, time.Since(phaseStart), card)
 	e.rec.PhaseDone(e.stats.Algorithm, e.stats.Phases, card)
 	if e.opts.OnPhase != nil {
@@ -386,9 +338,6 @@ func (e *Engine) bfs(ctx context.Context) error {
 	apply := func(r *rank) { e.op.apply(r, r.in) }
 	for !e.frontierEmpty() {
 		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := e.netErr(); err != nil {
 			return err
 		}
 		e.eachRank(expand)

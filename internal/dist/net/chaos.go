@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Chaos configures the proxy's fault injection, the wire-level counterpart
-// of dist.Faults: probabilities are per frame per direction, all randomness
+// Chaos configures the proxy's fault injection, the repo's one network
+// fault model: probabilities are per frame per direction, all randomness
 // is drawn from Seed so a failing schedule replays.
 type Chaos struct {
 	// Seed drives the fault schedule; 0 seeds from the clock.

@@ -66,34 +66,6 @@ func TestRecorderMatchesStats(t *testing.T) {
 	}
 }
 
-// Fault-recovery counters are exported as per-phase deltas; after the run
-// the totals must equal the FaultStats the engine reports.
-func TestRecorderExportsFaultDeltas(t *testing.T) {
-	g := gen.ER(600, 600, 2400, 11)
-	rec := obs.New(obs.Config{Workers: 4})
-	m := matching.New(g.NX(), g.NY())
-	s := RunRec(t, g, m, rec, Options{
-		Ranks: 4, Grafting: true,
-		Faults: &Faults{Seed: 11, Drop: 0.25, Duplicate: 0.2, Stall: 0.1},
-	})
-	if s.Faults == nil {
-		t.Fatal("no fault stats")
-	}
-	if s.Faults.Retransmits == 0 {
-		t.Skip("fault schedule produced no retransmits")
-	}
-	deltas := map[string]int64{
-		"graftmatch_dist_retransmits_total": s.Faults.Retransmits,
-		"graftmatch_dist_acks_lost_total":   s.Faults.AcksLost,
-		"graftmatch_dist_timeouts_total":    s.Faults.Timeouts,
-	}
-	for name, want := range deltas {
-		if got := rec.Counter(name, "").Value(); got != want {
-			t.Errorf("%s = %d, want %d (FaultStats)", name, got, want)
-		}
-	}
-}
-
 // A recorder must not perturb the computed matching.
 func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	g := gen.ER(500, 500, 2000, 3)

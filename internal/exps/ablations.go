@@ -80,28 +80,6 @@ func AblationInit(cfg Config) *Table {
 	return t
 }
 
-// AblationVisited compares the int32 visited array against the atomic bit
-// vector (the paper's __sync_fetch_and_or analog) on the full suite.
-func AblationVisited(cfg Config) *Table {
-	cfg = cfg.defaults()
-	defer cfg.obsTable("AblationVisited")()
-	t := &Table{
-		Title:  fmt.Sprintf("Ablation: visited-flag representation (%d threads)", cfg.Threads),
-		Header: []string{"graph", "int32 array (ms)", "bit vector (ms)", "ratio"},
-	}
-	for _, inst := range Suite(cfg.Scale) {
-		arr := measureCore(inst, cfg, core.Options{Threads: cfg.Threads, DirectionOptimized: true, Grafting: true})
-		bit := measureCore(inst, cfg, core.Options{Threads: cfg.Threads, DirectionOptimized: true, Grafting: true, VisitedBitmap: true})
-		ratio := 0.0
-		if bit > 0 {
-			ratio = arr / bit
-		}
-		t.AddRow(inst.Name, f2(arr), f2(bit), f2(ratio))
-	}
-	t.AddNote("ratio > 1 means the bit vector is faster on this host")
-	return t
-}
-
 func measureCore(inst Instance, cfg Config, opts core.Options) float64 {
 	best := 0.0
 	for r := 0; r < cfg.Reps; r++ {

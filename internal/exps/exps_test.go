@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"graftmatch/internal/obs"
 )
 
 var smallCfg = Config{Scale: Small, Threads: 2, Reps: 1}
@@ -65,6 +67,20 @@ func TestRunAllAlgos(t *testing.T) {
 			card = s.FinalCardinality
 		} else if s.FinalCardinality != card {
 			t.Fatalf("%s disagrees: %d vs %d", a, s.FinalCardinality, card)
+		}
+	}
+}
+
+// TestRunWithRecordsMSBFSFamily: RunWith threads the recorder into the
+// MS-BFS baselines as well, so their Fig. 1 rows carry live metrics.
+func TestRunWithRecordsMSBFSFamily(t *testing.T) {
+	inst, _ := ByName(Small, "kkt_power")
+	for _, a := range []Algo{AlgoMSBFS, AlgoDirOpt} {
+		rec := obs.New(obs.Config{Workers: 2})
+		s := RunWith(a, inst.Graph, 2, rec)
+		got := rec.Counter("graftmatch_core_edges_traversed_total", "").Value()
+		if got == 0 || got != s.EdgesTraversed {
+			t.Errorf("%s: edges counter = %d, want %d (stats)", a, got, s.EdgesTraversed)
 		}
 	}
 }
@@ -277,13 +293,6 @@ func TestAblationInitShape(t *testing.T) {
 			t.Fatalf("%s: final cardinality differs across inits: %s vs %s", r[0], prev, r[3])
 		}
 		final[r[0]] = r[3]
-	}
-}
-
-func TestAblationVisitedShape(t *testing.T) {
-	tab := AblationVisited(smallCfg)
-	if len(tab.Rows) != 12 {
-		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"graftmatch/internal/hk"
 	"graftmatch/internal/matching"
 	"graftmatch/internal/matchinit"
-	"graftmatch/internal/msbfs"
 	"graftmatch/internal/obs"
 	"graftmatch/internal/pf"
 	"graftmatch/internal/pushrelabel"
@@ -80,9 +79,9 @@ func runOn(algo Algo, g *bipartite.Graph, m *matching.Matching, p int, rec *obs.
 		opts.Recorder = rec
 		return core.Run(g, m, opts)
 	case AlgoMSBFS:
-		return msbfs.Run(g, m, p)
+		return core.Run(g, m, core.Options{Threads: p, Recorder: rec}.Defaults())
 	case AlgoDirOpt:
-		return msbfs.RunDirOpt(g, m, p)
+		return core.Run(g, m, core.Options{Threads: p, DirectionOptimized: true, Recorder: rec}.Defaults())
 	case AlgoGraftTD:
 		return core.Run(g, m, core.Options{Threads: p, Grafting: true, Recorder: rec}.Defaults())
 	case AlgoPF:
