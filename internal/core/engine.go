@@ -15,8 +15,8 @@ import (
 const none = matching.None
 
 // phaseHook, when non-nil, is invoked after every BFS forest construction
-// (before augmentation). It exists solely for white-box invariant tests;
-// production code must leave it nil.
+// (before augmentation) and after every graft or rebuild. It exists solely
+// for white-box invariant tests; production code must leave it nil.
 var phaseHook func(*engine)
 
 // TestHookWorkerFault, when non-nil, is invoked by every parallel top-down
@@ -62,19 +62,24 @@ type engine struct {
 	unvisitedY      int64
 	unvisitedYEdges int64
 
-	// census scratch queues (renewable/active Y, active X).
-	renewY, activeY, activeX *queue.Frontier
+	// census scratch queues (renewable/active Y).
+	renewY, activeY *queue.Frontier
+
+	// renewRoots lists the roots whose leaf went from none to a Y vertex
+	// since the last augment — exactly the renewable trees augment walks.
+	renewRoots *queue.Frontier
 
 	// unvisQ is the reusable collector of unvisited Y ids for bottom-up.
 	unvisQ *queue.Frontier
 
-	// bottomUpTripped disables further in-phase bottom-up traversal once a
-	// sweep's adoption rate drops below 1/α. In matching phases — unlike
-	// the whole-graph BFS the direction heuristic comes from — a large set
-	// of permanently unreachable Y vertices can persist across phases, and
-	// every bottom-up sweep rescans their entire adjacency for nothing.
-	// A low-yield sweep is the signature of that regime. Grafting sweeps
-	// (over renewableY, which is reachable by construction) are unaffected.
+	// bottomUpTripped disables bottom-up traversal for the rest of the run
+	// (nothing resets it) once a sweep's adoption rate drops below 1/α. In
+	// matching phases — unlike the whole-graph BFS the direction heuristic
+	// comes from — a large set of permanently unreachable Y vertices can
+	// persist across phases, and every bottom-up sweep rescans their entire
+	// adjacency for nothing. A low-yield sweep is the signature of that
+	// regime. Grafting sweeps (over renewableY, which is reachable by
+	// construction) are unaffected.
 	bottomUpTripped bool
 
 	edges      *par.Counter // edges traversed, per worker
@@ -139,7 +144,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		next:       queue.NewFrontier(nx),
 		renewY:     queue.NewFrontier(ny),
 		activeY:    queue.NewFrontier(ny),
-		activeX:    queue.NewFrontier(nx),
+		renewRoots: queue.NewFrontier(nx),
 		unvisQ:     queue.NewFrontier(ny),
 		edges:      par.NewCounter(opts.Threads),
 		claims:     par.NewCounter(opts.Threads),
@@ -157,7 +162,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 	e.met = newMetrics(opts.Recorder)
 	qresv := opts.Recorder.Counter("graftmatch_queue_reservations_total",
 		"atomic block reservations on the frontier queues")
-	for _, f := range []*queue.Frontier{e.cur, e.next, e.renewY, e.activeY, e.activeX, e.unvisQ} {
+	for _, f := range []*queue.Frontier{e.cur, e.next, e.renewY, e.activeY, e.renewRoots, e.unvisQ} {
 		f.Instrument(qresv)
 	}
 
@@ -310,7 +315,7 @@ func (e *engine) run() {
 		}
 
 		e.stats.Phases++
-		card := e.m.Cardinality()
+		card := e.cardinality()
 		e.met.phases.Add(0, 1)
 		e.met.rec.Span("core", "phase", phaseStart, time.Since(phaseStart), card)
 		e.met.rec.PhaseDone(e.stats.Algorithm, e.stats.Phases, card)
@@ -326,6 +331,9 @@ func (e *engine) run() {
 
 		// Step 3: build the next phase's frontier (graft or rebuild).
 		e.graftStep()
+		if phaseHook != nil && e.err == nil {
+			phaseHook(e)
+		}
 	}
 }
 
@@ -373,7 +381,8 @@ func (e *engine) useTopDown() bool {
 // claiming unvisited Y neighbors by CAS (test before CAS to avoid wasted
 // atomics). Matched claims push the mate into the next frontier; unmatched
 // claims record an augmenting path end in leaf[root] (benign race: the last
-// writer wins and the tree keeps exactly one path).
+// writer wins and the tree keeps exactly one path), and the claim that finds
+// leaf[root] unset appends root to renewRoots.
 func (e *engine) topDown() {
 	if e.opts.Threads == 1 {
 		e.topDownSerial()
@@ -409,8 +418,8 @@ func (e *engine) topDown() {
 				if mate := mateY[y]; mate != none {
 					e.rootX[mate] = root
 					l.Push(mate)
-				} else {
-					atomic.StoreInt32(&e.leaf[root], y)
+				} else if atomic.SwapInt32(&e.leaf[root], y) == none {
+					e.renewRoots.Push(root)
 				}
 			}
 		}
@@ -449,6 +458,9 @@ func (e *engine) topDownSerial() {
 				e.rootX[mate] = root
 				l.Push(mate)
 			} else {
+				if e.leaf[root] == none {
+					e.renewRoots.Push(root)
+				}
 				e.leaf[root] = y
 			}
 		}
@@ -513,8 +525,8 @@ func (e *engine) bottomUp(r []int32) {
 				if mate := mateY[y]; mate != none {
 					atomic.StoreInt32(&e.rootX[mate], root)
 					l.Push(mate)
-				} else {
-					atomic.StoreInt32(&e.leaf[root], y)
+				} else if atomic.SwapInt32(&e.leaf[root], y) == none {
+					e.renewRoots.Push(root)
 				}
 				break // stop exploring neighbors of y
 			}
@@ -548,6 +560,7 @@ func (e *engine) bottomUpSerial(r []int32) {
 				l.Push(mate)
 			} else {
 				e.leaf[root] = y
+				e.renewRoots.Push(root)
 			}
 			break // stop exploring neighbors of y
 		}
@@ -573,25 +586,19 @@ func (e *engine) finishLevel() {
 	e.next.Reset()
 }
 
-// augment is Step 2: for every renewable tree (root x0 with leaf[x0] set),
+// augment is Step 2: for every renewable tree (root x0 in renewRoots),
 // walk the unique augmenting path leaf→root via parent and mate pointers,
 // flipping matched and unmatched edges. Paths are vertex-disjoint across
 // trees, so roots are processed in parallel.
 func (e *engine) augment() int64 {
 	mateX, mateY := e.m.MateX, e.m.MateY
+	roots := e.renewRoots.Slice()
 	paths, lens := e.paths, e.lens
 	paths.Reset()
 	lens.Reset()
-	e.pforDyn(len(mateX), 512, func(w int, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x0 := int32(i)
-			if mateX[x0] != none || e.rootX[x0] != x0 {
-				continue
-			}
+	e.pforDyn(len(roots), 16, func(w int, lo, hi int) {
+		for _, x0 := range roots[lo:hi] {
 			y := e.leaf[x0]
-			if y == none {
-				continue
-			}
 			var edgeLen int64
 			for {
 				x := e.parentY[y]
@@ -608,6 +615,7 @@ func (e *engine) augment() int64 {
 			lens.Add(w, edgeLen-1) // path has 2k+1 edges for k+1 matches
 		}
 	})
+	e.renewRoots.Reset()
 	n := paths.Sum()
 	e.stats.AugPaths += n
 	e.stats.AugPathLen += lens.Sum()
@@ -615,29 +623,23 @@ func (e *engine) augment() int64 {
 	return n
 }
 
+// cardinality is |M|: the initial cardinality plus the paths augmented.
+func (e *engine) cardinality() int64 {
+	return e.stats.InitialCardinality + e.stats.AugPaths
+}
+
 // graftStep is Algorithm 7. It takes the census of active and renewable
 // vertices (Statistics in Fig. 6), resets the renewable Y state, and either
 // grafts renewableY onto the active forest bottom-up or destroys everything
 // and restarts from the unmatched X vertices.
 func (e *engine) graftStep() {
-	// Census (lines 2–4): classify by leaf[root].
+	// Census (lines 2–4): classify Y by leaf[root], in index order, which
+	// fixes the graft's adoption order. X needs no sweep: after augment
+	// every unmatched X roots an active tree and every other active X is
+	// the mate of an active (hence matched) Y.
 	t := time.Now()
-	e.activeX.Reset()
 	e.activeY.Reset()
 	e.renewY.Reset()
-	if !e.pfor(len(e.rootX), func(w, lo, hi int) {
-		l := &e.locals[w]
-		l.Rebind(e.activeX)
-		for i := lo; i < hi; i++ {
-			if r := e.rootX[i]; r != none && e.leaf[r] == none {
-				l.Push(int32(i))
-			}
-		}
-		l.Flush()
-		l.Rebind(e.next)
-	}) {
-		return
-	}
 	if !e.pfor(len(e.rootY), func(w, lo, hi int) {
 		var act, ren [256]int32
 		na, nr := 0, 0
@@ -667,6 +669,7 @@ func (e *engine) graftStep() {
 	}) {
 		return
 	}
+	activeX := int64(len(e.rootX)) - e.cardinality() + int64(e.activeY.Len())
 	e.recordStep(matching.StepStatistics, "statistics", t, int64(e.renewY.Len()))
 
 	// Reset renewable Y state so those vertices can be reused (lines 6–7).
@@ -690,7 +693,7 @@ func (e *engine) graftStep() {
 	e.unvisitedY += int64(len(renewable))
 	e.unvisitedYEdges += renewDeg.Sum()
 
-	if e.opts.Grafting && float64(e.activeX.Len()) > float64(len(renewable))/e.opts.Alpha {
+	if e.opts.Grafting && float64(activeX) > float64(len(renewable))/e.opts.Alpha {
 		// Graft renewable Y vertices onto active trees (line 9).
 		e.next.Reset()
 		e.bottomUp(renewable)
@@ -705,8 +708,9 @@ func (e *engine) graftStep() {
 	}
 
 	// Regrow from scratch (lines 11–15): clear active forest state and
-	// restart from the unmatched X vertices.
+	// restart from the unmatched X vertices, which re-roots them.
 	active := e.activeY.Slice()
+	mateY := e.m.MateY
 	activeDeg := e.phaseDeg
 	activeDeg.Reset()
 	if !e.pfor(len(active), func(w, lo, hi int) {
@@ -716,6 +720,7 @@ func (e *engine) graftStep() {
 			e.visited[y] = 0
 			e.rootY[y] = none
 			e.parentY[y] = none
+			e.rootX[mateY[y]] = none
 			deg += e.g.DegY(y)
 		}
 		activeDeg.Add(w, deg)
@@ -724,14 +729,6 @@ func (e *engine) graftStep() {
 	}
 	e.unvisitedY += int64(len(active))
 	e.unvisitedYEdges += activeDeg.Sum()
-	ax := e.activeX.Slice()
-	if !e.pfor(len(ax), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.rootX[ax[i]] = none
-		}
-	}) {
-		return
-	}
 	e.seedFrontierFromUnmatched()
 	e.stats.Rebuilds++
 	e.met.rebuilds.Add(0, 1)

@@ -308,7 +308,9 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 // TestGraftVsRebuildBothExercised makes sure the suite covers both branches
-// of Algorithm 7 across a spread of inputs.
+// of Algorithm 7 across a spread of inputs, and pins the serial counters of
+// those runs: the graft-or-rebuild choice rests on the census counts, so a
+// miscount shows here even when every matching it produces is maximum.
 func TestGraftVsRebuildBothExercised(t *testing.T) {
 	var grafts, rebuilds int64
 	// Grid with Karp–Sipser leaves a near-perfect matching whose few long
@@ -329,6 +331,18 @@ func TestGraftVsRebuildBothExercised(t *testing.T) {
 	}
 	if rebuilds == 0 {
 		t.Error("rebuild branch never exercised")
+	}
+	for i, c := range []struct {
+		s    *matching.Stats
+		want [5]int64 // phases, edges, grafts, rebuilds, top-down levels
+	}{
+		{s1, [5]int64{7, 83992, 2, 4, 141}},
+		{s2, [5]int64{14, 4763, 13, 0, 24}},
+	} {
+		got := [5]int64{c.s.Phases, c.s.EdgesTraversed, c.s.Grafts, c.s.Rebuilds, c.s.TopDownLevels}
+		if got != c.want {
+			t.Errorf("run %d: phases, edges, grafts, rebuilds, top-down levels = %v, want %v", i+1, got, c.want)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 )
 
 // checkForestInvariants verifies the structural invariants of the
-// alternating BFS forest at a phase boundary (§III-B):
+// alternating BFS forest at a phase boundary — after the BFS, or after the
+// graft or rebuild that seeds the next one (§III-B):
 //
 //  1. every visited Y has a parent that is a real edge and a root;
 //  2. following parent/mate pointers from any visited Y reaches its root
@@ -96,9 +97,61 @@ func checkForestInvariants(t *testing.T, e *engine) {
 	}
 }
 
-// TestPhaseInvariants runs the engine serially with the white-box hook
-// installed and validates the forest at every phase boundary, across option
-// combinations and graph classes.
+// checkRenewableBookkeeping verifies the state that lets augment and the
+// census skip sweeping X, at a phase boundary:
+//
+//  1. renewRoots holds, without duplicates, exactly the roots of the
+//     renewable trees not yet augmented: {x : mateX[x] = none,
+//     rootX[x] = x, leaf[x] ≠ none};
+//  2. the tracked cardinality equals |M|;
+//  3. every active Y (its root's leaf unset) is matched;
+//  4. the active X count equals the active unmatched roots plus |activeY|,
+//     the identity graftStep derives |activeX| from.
+func checkRenewableBookkeeping(t *testing.T, e *engine) {
+	t.Helper()
+	mateX, mateY := e.m.MateX, e.m.MateY
+	listed := make(map[int32]bool)
+	for _, x := range e.renewRoots.Slice() {
+		if listed[x] {
+			t.Fatalf("root %d listed twice in renewRoots", x)
+		}
+		listed[x] = true
+	}
+	var activeX, activeRoots, activeY int64
+	for xi := range mateX {
+		x := int32(xi)
+		renewable := mateX[x] == none && e.rootX[x] == x && e.leaf[x] != none
+		if renewable != listed[x] {
+			t.Fatalf("x=%d: renewable root %v, listed in renewRoots %v", x, renewable, listed[x])
+		}
+		if r := e.rootX[x]; r != none && e.leaf[r] == none {
+			activeX++
+			if mateX[x] == none {
+				activeRoots++
+			}
+		}
+	}
+	if got, want := e.cardinality(), e.m.Cardinality(); got != want {
+		t.Fatalf("tracked cardinality %d, want %d", got, want)
+	}
+	for yi, r := range e.rootY {
+		if r == none || e.leaf[r] != none {
+			continue
+		}
+		activeY++
+		if mateY[yi] == none {
+			t.Fatalf("active y=%d (tree %d) is unmatched", yi, r)
+		}
+	}
+	if activeX != activeRoots+activeY {
+		t.Fatalf("active X = %d, want %d unmatched roots + %d active Y", activeX, activeRoots, activeY)
+	}
+}
+
+// TestPhaseInvariants runs the engine with the white-box hook installed and
+// validates the forest and the renewable bookkeeping at every phase
+// boundary, across option combinations (serial, and the full algorithm at
+// two threads) and graph classes.
 func TestPhaseInvariants(t *testing.T) {
 	defer func() { phaseHook = nil }()
 
@@ -110,6 +163,7 @@ func TestPhaseInvariants(t *testing.T) {
 		{"diropt", Options{Threads: 1, DirectionOptimized: true}.Defaults()},
 		{"graft", Options{Threads: 1, Grafting: true}.Defaults()},
 		{"full", FullOptions(1)},
+		{"full-p2", FullOptions(2)},
 	}
 
 	graphCases := []struct {
@@ -137,15 +191,16 @@ func TestPhaseInvariants(t *testing.T) {
 	for _, oc := range optionCases {
 		for _, gc := range graphCases {
 			t.Run(fmt.Sprintf("%s/%s", oc.name, gc.name), func(t *testing.T) {
-				phases := 0
+				fired := 0
 				phaseHook = func(e *engine) {
-					phases++
+					fired++
 					checkForestInvariants(t, e)
+					checkRenewableBookkeeping(t, e)
 				}
 				defer func() { phaseHook = nil }()
 				g, m := gc.mk()
 				Run(g, m, oc.opts)
-				if phases == 0 {
+				if fired == 0 {
 					t.Fatal("hook never fired")
 				}
 				if err := matching.VerifyMaximum(g, m); err != nil {

@@ -138,10 +138,10 @@ func ParallelKarpSipser(g *bipartite.Graph, p int) *matching.Matching {
 		st := &workers[w]
 		for i := lo; i < hi; i++ {
 			if i < nx {
-				if degX[i] == 1 {
+				if atomic.LoadInt32(&degX[i]) == 1 {
 					st.stack = append(st.stack, int32(i))
 				}
-			} else if degY[i-nx] == 1 {
+			} else if atomic.LoadInt32(&degY[i-nx]) == 1 {
 				st.stack = append(st.stack, ^int32(i-nx))
 			}
 			drain(st)
