@@ -1,38 +1,27 @@
-// Command graftlint runs the repo's concurrency-invariant static analysis
-// suite (internal/analysis) over the module and reports findings with
-// file:line diagnostics. It is the machine-checkable wall in front of the
-// atomic-heavy matching kernels and the distributed runtime: alignment of
-// 64-bit atomics on 32-bit targets, atomic-vs-plain access discipline,
-// cache-line padding of per-worker state, context propagation of the
-// resilient entry points, error/panic hygiene, goroutine/lock/WaitGroup
-// flow rules, hot-path allocation, and the value-flow tier over the wire
-// protocol (exhaustive frame dispatch, socket-deadline hygiene, bounded
-// decode allocations, cancellable goroutine channel ops).
+// Command graftlint runs the repo's static analysis suite
+// (internal/analysis) over the module and reports findings with
+// file:line diagnostics. Its eleven checks cover what neither go vet nor
+// go test -race catches: cache-line padding of per-worker state, context
+// propagation of the resilient entry points, error/panic hygiene,
+// goroutine/lock/WaitGroup flow rules, hot-path allocation, and the
+// value-flow tier over the wire protocol (exhaustive frame dispatch,
+// socket-deadline hygiene, bounded decode allocations, cancellable
+// goroutine channel ops).
 //
 // Usage:
 //
-//	graftlint [-json] [-sarif] [-checks a,b,c] [-list] [-C dir]
-//	          [-baseline file] [-write-baseline file] [-suppressions]
-//	          [packages]
+//	graftlint [-json] [-checks a,b,c] [-list] [-C dir] [-suppressions] [packages]
 //
 // Package patterns are module-relative ("./...", "./internal/queue",
 // "internal/par/..."); with none given the whole module is checked.
-// -checks selects a subset by name, or with "-name" entries negates
-// against the full registry (-checks=-hotpath-alloc runs all but one);
-// the two forms do not mix. The
-// exit status is 0 when clean, 1 when findings were reported, 2 on usage or
-// load errors. Findings are suppressed per line with
+// -checks selects a comma-separated subset by name. The exit status is 0
+// when clean, 1 when findings were reported, 2 on usage or load errors.
+// Findings are suppressed per line with
 //
 //	//lint:ignore <check>[,<check>...] <reason>
 //
-// -sarif emits SARIF 2.1.0 for code-scanning upload instead of text; rules
-// carry per-check severity (defaultConfiguration.level) and a helpUri.
-// -baseline subtracts the findings recorded in a baseline file (keyed by
-// file, check, and message — not line) and warns about stale entries;
-// -write-baseline records the current findings as that file, announcing
-// the stale entries it drops, and exits 0. -suppressions reports the
-// //lint:ignore ledger — directive counts per check and file, plus every
-// directive that silenced nothing in the run.
+// -suppressions reports the //lint:ignore ledger — directive counts per
+// check and file, plus every directive that silenced nothing in the run.
 package main
 
 import (
@@ -55,15 +44,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("graftlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run, or -name entries to run all but those (default: all)")
+	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	listFlag := fs.Bool("list", false, "list available checks and exit")
 	dirFlag := fs.String("C", "", "module root directory (default: nearest go.mod at or above the working directory)")
-	baselineFlag := fs.String("baseline", "", "subtract findings recorded in this baseline file; warn about stale entries")
-	writeBaselineFlag := fs.String("write-baseline", "", "record current findings to this baseline file and exit 0")
 	suppressionsFlag := fs.Bool("suppressions", false, "report //lint:ignore directives per check and file, flagging any that silence nothing")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: graftlint [-json] [-sarif] [-checks a,b,c] [-list] [-C dir] [-baseline file] [-write-baseline file] [-suppressions] [packages]\n")
+		fmt.Fprintf(stderr, "usage: graftlint [-json] [-checks a,b,c] [-list] [-C dir] [-suppressions] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -73,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, c := range analysis.Checks() {
 			fmt.Fprintf(stdout, "%-16s %s\n", c.Name, c.Doc)
 		}
-		fmt.Fprintf(stdout, "\n-checks takes a comma-separated subset, or an all-negated form\n(-checks=-hotpath-alloc runs every check but that one)\n")
 		return 0
 	}
 
@@ -91,18 +76,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	names, err := parseChecks(*checksFlag)
-	if err != nil {
-		fmt.Fprintf(stderr, "graftlint: %v\n", err)
-		return 2
-	}
-
 	prog, err := analysis.LoadModule(root)
 	if err != nil {
 		fmt.Fprintf(stderr, "graftlint: %v\n", err)
 		return 2
 	}
-	diags, err := prog.Run(names)
+	diags, err := prog.Run(parseChecks(*checksFlag))
 	if err != nil {
 		fmt.Fprintf(stderr, "graftlint: %v\n", err)
 		return 2
@@ -113,31 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reportSuppressions(stdout, root, prog.Suppressions())
 		return 0
 	}
-	if *writeBaselineFlag != "" {
-		if err := writeBaseline(*writeBaselineFlag, root, diags, stderr); err != nil {
-			fmt.Fprintf(stderr, "graftlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "graftlint: wrote %d baseline entr%s to %s\n",
-			len(diags), map[bool]string{true: "y", false: "ies"}[len(diags) == 1], *writeBaselineFlag)
-		return 0
-	}
-	if *baselineFlag != "" {
-		bf, err := loadBaseline(*baselineFlag)
-		if err != nil {
-			fmt.Fprintf(stderr, "graftlint: %v\n", err)
-			return 2
-		}
-		diags = applyBaseline(bf, root, diags, stderr)
-	}
-
-	switch {
-	case *sarifOut:
-		if err := writeSARIF(stdout, root, diags); err != nil {
-			fmt.Fprintf(stderr, "graftlint: %v\n", err)
-			return 2
-		}
-	case *jsonOut:
+	if *jsonOut {
 		type finding struct {
 			File    string `json:"file"`
 			Line    int    `json:"line"`
@@ -158,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "graftlint: %v\n", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n",
 				relTo(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Check, d.Message)
@@ -170,52 +125,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// findModuleRoot ascends from dir to the nearest directory with a go.mod.
-// parseChecks resolves the -checks flag: a plain comma-separated list names
-// the checks to run, while "-name" entries negate — every registered check
-// except those. The two forms do not mix; nil means "all checks".
-func parseChecks(s string) ([]string, error) {
-	var pos, neg []string
-	for _, n := range strings.Split(s, ",") {
-		n = strings.TrimSpace(n)
-		switch {
-		case n == "":
-		case strings.HasPrefix(n, "-"):
-			neg = append(neg, n[1:])
-		default:
-			pos = append(pos, n)
-		}
-	}
-	if len(neg) == 0 {
-		return pos, nil
-	}
-	if len(pos) > 0 {
-		return nil, fmt.Errorf("-checks mixes selected (%s) and negated (-%s) names; use one form",
-			strings.Join(pos, ","), strings.Join(neg, ",-"))
-	}
-	known := map[string]bool{}
-	for _, name := range analysis.CheckNames() {
-		known[name] = true
-	}
-	drop := map[string]bool{}
-	for _, n := range neg {
-		if !known[n] {
-			return nil, fmt.Errorf("-checks negates unknown check %q (see -list)", n)
-		}
-		drop[n] = true
-	}
+// parseChecks splits the -checks flag into check names; nil means "all
+// checks". Unknown names are rejected by the analysis run.
+func parseChecks(s string) []string {
 	var names []string
-	for _, name := range analysis.CheckNames() {
-		if !drop[name] {
-			names = append(names, name)
+	for _, n := range strings.Split(s, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
 		}
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("-checks negates every check; nothing to run")
-	}
-	return names, nil
+	return names
 }
 
+// findModuleRoot ascends from dir to the nearest directory with a go.mod.
 func findModuleRoot(dir string) string {
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {

@@ -256,8 +256,8 @@ func run(args []string) error {
 			}
 			if res.Supervision != nil {
 				for _, r := range res.Supervision.Rungs {
-					fmt.Printf("supervision: %s attempt %d -> %s (phases=%d, |M|=%d)\n",
-						r.Engine, r.Attempt, r.Outcome, r.Phases, r.Cardinality)
+					fmt.Printf("supervision: %s -> %s (phases=%d, |M|=%d)\n",
+						r.Engine, r.Outcome, r.Phases, r.Cardinality)
 				}
 			}
 			if res.CheckpointPath != "" {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -25,23 +24,12 @@ func (d Diagnostic) String() string {
 type Check struct {
 	Name string
 	Doc  string
-	// Level is the severity a finding of this check carries in reporting
-	// backends (SARIF): "error" for correctness invariants, "warning" for
-	// discipline rules, "note" for performance advice.
-	Level string
-	// HelpURI points at the check's documentation; filled in by Checks().
-	HelpURI string
-	Run     func(prog *Program) []Diagnostic
+	Run  func(prog *Program) []Diagnostic
 }
-
-// helpURIBase is the documentation root each check's HelpURI anchors into.
-const helpURIBase = "https://graftmatch.dev/graftlint/checks#"
 
 // Checks returns the full suite in canonical order.
 func Checks() []Check {
-	cs := []Check{
-		AtomicAlign(),
-		MixedAccess(),
+	return []Check{
 		FalseShare(),
 		CtxDiscipline(),
 		ErrChecked(),
@@ -53,14 +41,7 @@ func Checks() []Check {
 		DeadlineDiscipline(),
 		BoundedDecode(),
 		CtxSelect(),
-		SharedRace(),
-		AliasedLock(),
-		GlobalMutable(),
 	}
-	for i := range cs {
-		cs[i].HelpURI = helpURIBase + cs[i].Name
-	}
-	return cs
 }
 
 // CheckNames returns the names of every check in the suite.
@@ -121,13 +102,6 @@ func (prog *Program) Run(names []string) ([]Diagnostic, error) {
 		return a.Message < b.Message
 	})
 	return out, nil
-}
-
-// shortPos renders pos as "file.go:line" (base name only), for embedding a
-// cross-reference inside a message without machine-specific path prefixes.
-func (prog *Program) shortPos(pos token.Pos) string {
-	p := prog.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // diag constructs a Diagnostic at pos.

@@ -22,8 +22,6 @@ var fixtureCases = []struct {
 	checks []string
 	cfg    analysis.Config
 }{
-	{"atomicalign", []string{"atomic-align"}, analysis.Config{}},
-	{"mixedaccess", []string{"mixed-access"}, analysis.Config{}},
 	{"falseshare", []string{"falseshare"}, analysis.Config{}},
 	{"ctxdiscipline", []string{"ctx-discipline"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"errchecked", []string{"err-checked"}, analysis.Config{PanicPackages: []string{"neg"}}},
@@ -35,9 +33,6 @@ var fixtureCases = []struct {
 	{"deadlinediscipline", []string{"deadline-discipline"}, analysis.Config{}},
 	{"boundeddecode", []string{"bounded-decode"}, analysis.Config{}},
 	{"ctxselect", []string{"ctx-select"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
-	{"sharedrace", []string{"shared-race"}, analysis.Config{}},
-	{"aliasedlock", []string{"aliased-lock"}, analysis.Config{}},
-	{"globalmutable", []string{"global-mutable"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"suppress", nil, analysis.Config{}},
 }
 
@@ -94,10 +89,24 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean loads the real module and requires zero findings: the
-// acceptance bar the CI graftlint job enforces, kept inside go test so a
-// plain test run catches regressions too.
+// TestRepoIsClean loads the real module and requires zero findings and no
+// stale //lint:ignore directive (one that silences nothing in the full
+// run): the acceptance bar the CI graftlint job enforces, kept inside go
+// test so a plain test run catches regressions too. It first requires a
+// golden fixture for every registered check, so the registry and the
+// fixtures cannot drift apart when a check is added or deleted.
 func TestRepoIsClean(t *testing.T) {
+	covered := map[string]bool{}
+	for _, tc := range fixtureCases {
+		for _, c := range tc.checks {
+			covered[c] = true
+		}
+	}
+	for _, name := range analysis.CheckNames() {
+		if !covered[name] {
+			t.Errorf("check %q has no fixtureCases row", name)
+		}
+	}
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
 	}
@@ -119,6 +128,12 @@ func TestRepoIsClean(t *testing.T) {
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}
+	for _, d := range prog.Suppressions() {
+		if d.Silenced() == 0 {
+			t.Errorf("%s:%d: stale //lint:ignore %s: silences nothing (%s)",
+				d.File, d.Line, strings.Join(d.Checks, ","), d.Reason)
+		}
+	}
 }
 
 func TestRunUnknownCheck(t *testing.T) {
@@ -133,10 +148,9 @@ func TestRunUnknownCheck(t *testing.T) {
 
 func TestCheckNames(t *testing.T) {
 	want := []string{
-		"atomic-align", "mixed-access", "falseshare", "ctx-discipline", "err-checked",
-		"goroutine-leak", "lock-discipline", "wg-balance", "hotpath-alloc",
-		"proto-exhaustive", "deadline-discipline", "bounded-decode", "ctx-select",
-		"shared-race", "aliased-lock", "global-mutable",
+		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
+		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
+		"deadline-discipline", "bounded-decode", "ctx-select",
 	}
 	got := analysis.CheckNames()
 	if len(got) != len(want) {

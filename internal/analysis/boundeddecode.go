@@ -23,10 +23,9 @@ import (
 // any byte of payload backs it, which is the vector this check closes.
 func BoundedDecode() Check {
 	return Check{
-		Name:  "bounded-decode",
-		Doc:   "wire-tainted make sizes are dominated by a bound comparison",
-		Level: "error",
-		Run:   runBoundedDecode,
+		Name: "bounded-decode",
+		Doc:  "wire-tainted make sizes are dominated by a bound comparison",
+		Run:  runBoundedDecode,
 	}
 }
 

@@ -24,10 +24,9 @@ import (
 //     propagates. Assigning to _ is allowed as an explicit, visible waiver.
 func CtxDiscipline() Check {
 	return Check{
-		Name:  "ctx-discipline",
-		Doc:   "entry points propagate context.Context and never swallow its error",
-		Level: "warning",
-		Run:   runCtxDiscipline,
+		Name: "ctx-discipline",
+		Doc:  "entry points propagate context.Context and never swallow its error",
+		Run:  runCtxDiscipline,
 	}
 }
 

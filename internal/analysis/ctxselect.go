@@ -23,10 +23,9 @@ import (
 // same rule as inline literals.
 func CtxSelect() Check {
 	return Check{
-		Name:  "ctx-select",
-		Doc:   "channel ops in engine goroutines select on a done channel",
-		Level: "error",
-		Run:   runCtxSelect,
+		Name: "ctx-select",
+		Doc:  "channel ops in engine goroutines select on a done channel",
+		Run:  runCtxSelect,
 	}
 }
 

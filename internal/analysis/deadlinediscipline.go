@@ -22,10 +22,9 @@ import (
 // disarm covers every exit.
 func DeadlineDiscipline() Check {
 	return Check{
-		Name:  "deadline-discipline",
-		Doc:   "functions managing conn deadlines disarm them on every exit path",
-		Level: "error",
-		Run:   runDeadlineDiscipline,
+		Name: "deadline-discipline",
+		Doc:  "functions managing conn deadlines disarm them on every exit path",
+		Run:  runDeadlineDiscipline,
 	}
 }
 

@@ -21,10 +21,9 @@ import (
 //     argument.
 func ErrChecked() Check {
 	return Check{
-		Name:  "err-checked",
-		Doc:   "internal errors are never silently dropped; panic stays in the containment layer",
-		Level: "error",
-		Run:   runErrChecked,
+		Name: "err-checked",
+		Doc:  "internal errors are never silently dropped; panic stays in the containment layer",
+		Run:  runErrChecked,
 	}
 }
 

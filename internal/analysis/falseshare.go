@@ -19,10 +19,9 @@ import (
 //     false-sharing bug, and belong in a padded per-worker struct.
 func FalseShare() Check {
 	return Check{
-		Name:  "falseshare",
-		Doc:   "per-worker slots indexed by a worker id must be cache-line padded",
-		Level: "note",
-		Run:   runFalseShare,
+		Name: "falseshare",
+		Doc:  "per-worker slots indexed by a worker id must be cache-line padded",
+		Run:  runFalseShare,
 	}
 }
 

@@ -2,27 +2,20 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"strings"
 
 	"graftmatch/internal/analysis/flow"
 )
 
 // flowState is the lazily built whole-program substrate shared by the
 // flow-sensitive checks: every declared function as a flow.Func, the
-// module-local call graph, a Func→Package index, and memoized transitive
-// properties (blocking, observing) over the call graph. The points-to and
-// escape layers on top are built separately (ptInfo) — only the value-flow
-// checks pay their cost.
+// module-local call graph, a Func→Package index, and the memoized
+// transitive blocking property over the call graph.
 type flowState struct {
 	cg       *flow.CallGraph
 	pkgOf    map[*flow.Func]*Package
-	byInfo   map[*types.Info]*Package
 	blocking map[*types.Func]bool // memo: module function blocks (transitively)
-	observes map[*types.Func]int  // memo: 0 unknown, 1 yes, -1 no
-
-	pts    *flow.PointsTo
-	escape *flow.Escape
 }
 
 // flowInfo builds (once) and returns the flow substrate.
@@ -32,13 +25,10 @@ func (prog *Program) flowInfo() *flowState {
 	}
 	fs := &flowState{
 		pkgOf:    map[*flow.Func]*Package{},
-		byInfo:   map[*types.Info]*Package{},
 		blocking: map[*types.Func]bool{},
-		observes: map[*types.Func]int{},
 	}
 	var funcs []*flow.Func
 	for _, pkg := range prog.Pkgs {
-		fs.byInfo[pkg.Info] = pkg
 		for _, f := range flow.CollectFuncs(pkg.Types.Name(), pkg.Info, pkg.Files) {
 			funcs = append(funcs, f)
 			fs.pkgOf[f] = pkg
@@ -49,50 +39,21 @@ func (prog *Program) flowInfo() *flowState {
 	return fs
 }
 
-// ptInfo builds (once) the points-to and goroutine-escape layers on top of
-// the flow substrate: every package-level var becomes a Global root, the
-// whole-module constraint system is solved, and contexts are assigned.
-func (prog *Program) ptInfo() *flowState {
-	fs := prog.flowInfo()
-	if fs.pts != nil {
-		return fs
+// isInternal reports whether obj is declared in this module.
+func (prog *Program) isInternal(obj types.Object) bool {
+	if obj == nil || obj.Pkg() == nil {
+		return false
 	}
-	var globals []flow.Global
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						globals = append(globals, flow.Global{Info: pkg.Info, Spec: vs})
-					}
-				}
-			}
-		}
-	}
-	fs.pts = flow.BuildPointsTo(prog.Fset, fs.cg, globals)
-	fs.escape = flow.BuildEscape(fs.pts, fs.cg)
-	return fs
+	p := obj.Pkg().Path()
+	return p == prog.ModPath || strings.HasPrefix(p, prog.ModPath+"/")
 }
 
-// valueFuncs returns every function the points-to substrate knows — declared
-// functions first, then literals — paired with its package.
-func (fs *flowState) valueFuncs() []*flow.Func {
-	out := append([]*flow.Func{}, fs.cg.Funcs()...)
-	out = append(out, fs.pts.LitFuncs()...)
-	return out
-}
-
-// pkgFor resolves the package a flow.Func belongs to (literals resolve
-// through their type-checker Info).
-func (fs *flowState) pkgFor(f *flow.Func) *Package {
-	if pkg := fs.pkgOf[f]; pkg != nil {
-		return pkg
+// funcLabel names a function node for diagnostics.
+func funcLabel(node ast.Node) string {
+	if fd, ok := node.(*ast.FuncDecl); ok {
+		return fd.Name.Name
 	}
-	return fs.byInfo[f.Info]
+	return "function literal"
 }
 
 // namedType returns the named type behind t after stripping one pointer,

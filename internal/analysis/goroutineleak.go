@@ -27,10 +27,9 @@ import (
 // do not count: "has a path that observes" is the contract.
 func GoroutineLeak() Check {
 	return Check{
-		Name:  "goroutine-leak",
-		Doc:   "every spawned goroutine signals a join point or observes cancellation",
-		Level: "warning",
-		Run:   runGoroutineLeak,
+		Name: "goroutine-leak",
+		Doc:  "every spawned goroutine signals a join point or observes cancellation",
+		Run:  runGoroutineLeak,
 	}
 }
 

@@ -29,10 +29,9 @@ import (
 // call (panic, log.Fatal) are not flagged.
 func HotPathAlloc() Check {
 	return Check{
-		Name:  "hotpath-alloc",
-		Doc:   "no per-iteration heap allocation inside parallel bodies and hot-package loops",
-		Level: "note",
-		Run:   runHotPathAlloc,
+		Name: "hotpath-alloc",
+		Doc:  "no per-iteration heap allocation inside parallel bodies and hot-package loops",
+		Run:  runHotPathAlloc,
 	}
 }
 
@@ -210,9 +209,9 @@ func runHotPathAlloc(prog *Program) []Diagnostic {
 // message) that overlapping regions can produce.
 func dedupDiags(in []Diagnostic) []Diagnostic {
 	type k struct {
-		file          string
-		line, col     int
-		check, msg    string
+		file       string
+		line, col  int
+		check, msg string
 	}
 	seen := map[k]bool{}
 	var out []Diagnostic

@@ -1,15 +1,17 @@
 // Package analysis implements graftlint, a repo-specific static-analysis
-// suite for the concurrency invariants the matching kernels depend on:
-// 64-bit atomic alignment on 32-bit targets, atomic-only access to shared
-// words, cache-line padding of per-worker state, context discipline of the
-// resilient entry points, and error/panic hygiene. It is built entirely on
-// the standard library (go/parser, go/ast, go/types, go/token, go/importer)
-// so the lint wall needs nothing the toolchain does not already ship.
+// suite for the invariants the matching kernels and the distributed runtime
+// depend on and that neither go vet nor the race detector checks: cache-line
+// padding of per-worker state, context discipline of the resilient entry
+// points, error/panic hygiene, goroutine/lock/WaitGroup flow rules, hot-path
+// allocation, and the value-flow rules over the wire protocol. It is built
+// entirely on the standard library (go/parser, go/ast, go/types, go/token,
+// go/importer) so the lint wall needs nothing the toolchain does not
+// already ship.
 //
 // The unit of analysis is a Program: every package of the module, parsed
-// with comments and fully typechecked. Checks are whole-program — a field
-// written atomically in one package and plainly in another is exactly the
-// bug class a per-package pass cannot see.
+// with comments and fully typechecked. Checks are whole-program — a call
+// made under a lock may block only inside a callee in another package, and
+// lock-discipline follows the module call graph there to see it.
 package analysis
 
 import (
@@ -40,12 +42,9 @@ type Program struct {
 	ModPath string     // module path; packages under it are "internal APIs"
 	Pkgs    []*Package // sorted by import path
 
-	// Sizes64 models the primary 64-bit target (gc/amd64); Sizes32 models
-	// the strictest 32-bit target (gc/386), where 64-bit atomics require
-	// explicit 8-byte alignment. atomic-align reasons under Sizes32,
-	// falseshare under Sizes64.
+	// Sizes64 models the primary 64-bit target (gc/amd64), under which
+	// falseshare measures per-worker slots.
 	Sizes64 types.Sizes
-	Sizes32 types.Sizes
 
 	Config Config
 
@@ -135,7 +134,6 @@ func LoadTree(root, modPath string, cfg Config) (*Program, error) {
 		Fset:    fset,
 		ModPath: modPath,
 		Sizes64: types.SizesFor("gc", "amd64"),
-		Sizes32: types.SizesFor("gc", "386"),
 		Config:  cfg,
 	}
 	for _, p := range paths {

@@ -26,10 +26,9 @@ import (
 // "w.s.mu". Receivers with calls or indexing in them are not tracked.
 func LockDiscipline() Check {
 	return Check{
-		Name:  "lock-discipline",
-		Doc:   "mutexes are released on every path and never held across blocking operations",
-		Level: "error",
-		Run:   runLockDiscipline,
+		Name: "lock-discipline",
+		Doc:  "mutexes are released on every path and never held across blocking operations",
+		Run:  runLockDiscipline,
 	}
 }
 

@@ -17,10 +17,9 @@ import (
 // an unknown or misrouted frame disappears instead of failing the link.
 func ProtoExhaustive() Check {
 	return Check{
-		Name:  "proto-exhaustive",
-		Doc:   "switches over iota-block discriminators cover every constant or fail on default",
-		Level: "error",
-		Run:   runProtoExhaustive,
+		Name: "proto-exhaustive",
+		Doc:  "switches over iota-block discriminators cover every constant or fail on default",
+		Run:  runProtoExhaustive,
 	}
 }
 

@@ -24,10 +24,9 @@ import (
 // lock-discipline.
 func WGBalance() Check {
 	return Check{
-		Name:  "wg-balance",
-		Doc:   "WaitGroup Add/Done counts match and Add never races Wait",
-		Level: "error",
-		Run:   runWGBalance,
+		Name: "wg-balance",
+		Doc:  "WaitGroup Add/Done counts match and Add never races Wait",
+		Run:  runWGBalance,
 	}
 }
 

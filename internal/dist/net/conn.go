@@ -114,7 +114,7 @@ func (c *Conn) SetTimeouts(read, write time.Duration) {
 	if write <= 0 && c.cfg.WriteTimeout > 0 {
 		_ = c.c.SetWriteDeadline(time.Time{})
 	}
-	c.cfg.ReadTimeout, c.cfg.WriteTimeout = read, write //lint:ignore shared-race staged reconfiguration: the documented contract forbids overlap with Send/Recv, and callers retune between protocol phases before the session's goroutines own the conn
+	c.cfg.ReadTimeout, c.cfg.WriteTimeout = read, write
 }
 
 // Close tears the connection down; pending Sends and Recvs unblock with

@@ -79,7 +79,8 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// Transient marks the error retryable (see supervise.Transient).
+// Transient marks the error retryable: the worker's join and reattach loops
+// retry it in place.
 func (e *TransportError) Transient() bool { return true }
 
 // PeerDownError reports a peer declared dead by heartbeat monitoring: no

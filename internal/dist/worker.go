@@ -197,8 +197,8 @@ func join(ctx context.Context, opts WorkerOptions, nonce uint64, fp checkpoint.F
 	}
 }
 
-// transientErr reports whether err marks itself transient (the
-// supervise.Transient convention, matched structurally to avoid the import).
+// transientErr reports whether err marks itself transient through a
+// Transient() bool method, as *distnet.TransportError does.
 func transientErr(err error) bool {
 	var t interface{ Transient() bool }
 	return errors.As(err, &t) && t.Transient()

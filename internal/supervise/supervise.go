@@ -11,8 +11,7 @@
 //     is wedged inside a phase;
 //   - stall: Config.StallPhases consecutive phases without cardinality
 //     growth — the engine is running but not converging on this instance;
-//   - error: the engine returned an error (a contained worker panic, or a
-//     transient network failure from the distributed engine).
+//   - error: the engine returned an error (e.g. a contained worker panic).
 //
 // On any of them the current engine is cancelled and the run moves down a
 // caller-supplied degradation ladder, seeding the next engine with the best
@@ -20,8 +19,7 @@
 // algorithms only ever grow a matching). A cancelled engine that fails to
 // stop within Config.Grace is abandoned: its goroutine keeps running on
 // private state while the supervisor proceeds with the copy taken at the
-// last phase boundary. Transient errors are retried in place with bounded
-// exponential backoff before the ladder advances.
+// last phase boundary.
 package supervise
 
 import (
@@ -85,11 +83,10 @@ const (
 	Cancelled Outcome = "cancelled" // the outer context stopped the run
 )
 
-// RungReport records one engine attempt.
+// RungReport records one engine run.
 type RungReport struct {
 	Engine      string
 	Outcome     Outcome
-	Attempt     int // 1-based attempt number for this engine (transient retries)
 	Phases      int64
 	Cardinality int64
 	Err         string // engine error, when Outcome == Errored
@@ -124,9 +121,6 @@ type Config struct {
 	// is abandoned; 0 means 10s.
 	Grace time.Duration
 
-	// Retry bounds in-place retries of transient engine errors.
-	Retry Backoff
-
 	// Observe, when non-nil, taps every Progress report (on the engine's
 	// driver goroutine, at a consistent phase boundary) — the hook the
 	// checkpoint writer attaches to. Reports from an abandoned engine are
@@ -134,7 +128,7 @@ type Config struct {
 	Observe func(Progress)
 
 	// Recorder, when non-nil, receives rung-transition counters, rung
-	// status updates, and one "supervise" span per rung attempt. The nil
+	// status updates, and one "supervise" span per rung. The nil
 	// default is a no-op.
 	Recorder *obs.Recorder
 }
@@ -168,50 +162,41 @@ func Run(ctx context.Context, seedX, seedY []int32, ladder []Engine, cfg Config)
 	}
 	var lastErr error
 	for _, eng := range ladder {
-		for attempt := 1; ; attempt++ {
-			cfg.Recorder.RungStart(eng.Name)
-			rungStart := time.Now()
-			res, phases, outcome, err := runRung(ctx, eng, rep.MateX, rep.MateY, cfg)
-			cfg.Recorder.Span("supervise", "rung:"+eng.Name, rungStart, time.Since(rungStart), res.Cardinality)
-			cfg.Recorder.RungEnd(eng.Name, string(outcome))
-			rr := RungReport{
-				Engine:      eng.Name,
-				Outcome:     outcome,
-				Attempt:     attempt,
-				Phases:      phases,
-				Cardinality: rep.Cardinality,
-			}
-			if err != nil {
-				rr.Err = err.Error()
-				lastErr = err
-			}
-			// Adopt the rung's matching when it made progress; a rung that
-			// errored before its first phase returns no mates and the seeds
-			// stand. Cardinality can only grow under augmentation, so the
-			// max is always the newest valid state.
-			if res.MateX != nil && res.MateY != nil && res.Cardinality >= rep.Cardinality {
-				rep.MateX, rep.MateY, rep.Cardinality = res.MateX, res.MateY, res.Cardinality
-				rr.Cardinality = res.Cardinality
-			}
-			rep.Rungs = append(rep.Rungs, rr)
-
-			if outcome == Completed {
-				rep.Engine = eng.Name
-				rep.Complete = true
-				rep.Aux = res.Aux
-				return rep, nil
-			}
-			if outcome == Cancelled {
-				return rep, nil // partial result, facade semantics
-			}
-			if outcome == Errored && IsTransient(err) && attempt <= cfg.Retry.Attempts {
-				if !sleepCtx(ctx, cfg.Retry.Delay(attempt)) {
-					return rep, nil // cancelled while backing off
-				}
-				continue
-			}
-			break // degrade to the next rung
+		cfg.Recorder.RungStart(eng.Name)
+		rungStart := time.Now()
+		res, phases, outcome, err := runRung(ctx, eng, rep.MateX, rep.MateY, cfg)
+		cfg.Recorder.Span("supervise", "rung:"+eng.Name, rungStart, time.Since(rungStart), res.Cardinality)
+		cfg.Recorder.RungEnd(eng.Name, string(outcome))
+		rr := RungReport{
+			Engine:      eng.Name,
+			Outcome:     outcome,
+			Phases:      phases,
+			Cardinality: rep.Cardinality,
 		}
+		if err != nil {
+			rr.Err = err.Error()
+			lastErr = err
+		}
+		// Adopt the rung's matching when it made progress; a rung that
+		// errored before its first phase returns no mates and the seeds
+		// stand. Cardinality can only grow under augmentation, so the
+		// max is always the newest valid state.
+		if res.MateX != nil && res.MateY != nil && res.Cardinality >= rep.Cardinality {
+			rep.MateX, rep.MateY, rep.Cardinality = res.MateX, res.MateY, res.Cardinality
+			rr.Cardinality = res.Cardinality
+		}
+		rep.Rungs = append(rep.Rungs, rr)
+
+		if outcome == Completed {
+			rep.Engine = eng.Name
+			rep.Complete = true
+			rep.Aux = res.Aux
+			return rep, nil
+		}
+		if outcome == Cancelled {
+			return rep, nil // partial result, facade semantics
+		}
+		// Any other outcome degrades to the next rung.
 	}
 	if lastErr != nil && allErrored(rep.Rungs) {
 		return rep, lastErr
@@ -269,7 +254,7 @@ type doneMsg struct {
 	err error
 }
 
-// runRung supervises one engine attempt seeded from (seedX, seedY).
+// runRung supervises one engine run seeded from (seedX, seedY).
 func runRung(ctx context.Context, eng Engine, seedX, seedY []int32, cfg Config) (Result, int64, Outcome, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -382,22 +367,6 @@ func awaitStop(done chan doneMsg, lg *lastGood, grace time.Duration, phases int6
 			phases = ph
 		}
 		return Result{MateX: mx, MateY: my, Cardinality: card}, phases, Abandoned, nil
-	}
-}
-
-// sleepCtx sleeps for d or until ctx is done; reports whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -68,11 +68,6 @@ func flatliner(name string) Engine {
 	}
 }
 
-type fakeTransient struct{ n int }
-
-func (e *fakeTransient) Error() string { return fmt.Sprintf("superstep dropped (%d)", e.n) }
-func (*fakeTransient) Transient() bool { return true }
-
 func TestFirstRungCompletes(t *testing.T) {
 	sx, sy := emptySeeds()
 	rep, err := Run(context.Background(), sx, sy, []Engine{completer("graft"), completer("pf")}, Config{})
@@ -211,37 +206,6 @@ func TestAbandonedObserverSilenced(t *testing.T) {
 	}
 }
 
-func TestTransientRetrySameRung(t *testing.T) {
-	var calls int
-	flaky := Engine{
-		Name: "flaky",
-		Run: func(ctx context.Context, seedX, seedY []int32, onPhase func(Progress)) (Result, error) {
-			calls++
-			if calls <= 2 {
-				return Result{}, fmt.Errorf("exchange: %w", &fakeTransient{calls})
-			}
-			return completer("flaky").Run(ctx, seedX, seedY, onPhase)
-		},
-	}
-	sx, sy := emptySeeds()
-	rep, err := Run(context.Background(), sx, sy, []Engine{flaky, completer("fallback")},
-		Config{Retry: Backoff{Attempts: 3, Base: time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Engine != "flaky" || !rep.Complete {
-		t.Fatalf("report = %+v, want flaky to complete after retries", rep)
-	}
-	if len(rep.Rungs) != 3 || rep.Rungs[2].Attempt != 3 {
-		t.Fatalf("rungs = %+v, want 3 attempts of the same rung", rep.Rungs)
-	}
-	for _, rr := range rep.Rungs[:2] {
-		if rr.Outcome != Errored {
-			t.Fatalf("rung %+v, want Errored", rr)
-		}
-	}
-}
-
 func TestHardErrorDegradesWithoutRetry(t *testing.T) {
 	var calls int
 	broken := Engine{
@@ -252,8 +216,7 @@ func TestHardErrorDegradesWithoutRetry(t *testing.T) {
 		},
 	}
 	sx, sy := emptySeeds()
-	rep, err := Run(context.Background(), sx, sy, []Engine{broken, completer("fallback")},
-		Config{Retry: Backoff{Attempts: 5, Base: time.Millisecond}})
+	rep, err := Run(context.Background(), sx, sy, []Engine{broken, completer("fallback")}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,26 +34,20 @@ type SuperviseOptions struct {
 	// is abandoned and the supervisor proceeds with the matching copied at
 	// its last phase boundary; 0 means 10s.
 	Grace time.Duration
-
-	// RetryAttempts bounds in-place retries (with exponential backoff) of
-	// transient engine failures, e.g. a simulated network outage from the
-	// distributed engine; 0 disables retries.
-	RetryAttempts int
 }
 
-// RungReport records one engine attempt of a supervised run.
+// RungReport records one engine run of a supervised run.
 type RungReport struct {
 	Engine      string // algorithm name, e.g. "MS-BFS-Graft"
 	Outcome     string // completed | watchdog | stalled | errored | abandoned | cancelled
-	Attempt     int    // 1-based attempt number for this engine
-	Phases      int64  // phases the attempt completed
-	Cardinality int64  // |M| when the attempt ended
+	Phases      int64  // phases the rung completed
+	Cardinality int64  // |M| when the rung ended
 	Err         string // engine error, when Outcome == errored
 }
 
 // SupervisionReport is the full outcome of a supervised run.
 type SupervisionReport struct {
-	// Rungs lists every engine attempt in order.
+	// Rungs lists every engine run in order.
 	Rungs []RungReport
 
 	// Engine names the rung that completed; empty if none did (the run
@@ -144,7 +138,6 @@ func superviseMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Op
 		PhaseTimeout: so.PhaseTimeout,
 		StallPhases:  so.StallPhases,
 		Grace:        so.Grace,
-		Retry:        supervise.Backoff{Attempts: so.RetryAttempts},
 		Recorder:     opts.Recorder,
 		Observe: func(p supervise.Progress) {
 			if w != nil {
@@ -198,7 +191,6 @@ func convertReport(rep *supervise.Report) *SupervisionReport {
 		sr.Rungs = append(sr.Rungs, RungReport{
 			Engine:      r.Engine,
 			Outcome:     string(r.Outcome),
-			Attempt:     r.Attempt,
 			Phases:      r.Phases,
 			Cardinality: r.Cardinality,
 			Err:         r.Err,
