@@ -82,12 +82,8 @@ func NewRecorder(cfg RecorderConfig) *Recorder { return obs.New(cfg) }
 // endpoints report empty state).
 func ObsHandler(rec *Recorder) http.Handler { return obs.Handler(rec) }
 
-// Scheduler supplies the workers for the parallel regions of a run; see
-// Options.Scheduler. The nil default spawns goroutines per parallel call.
-type Scheduler = par.Scheduler
-
-// WorkerPool is a Scheduler backed by a fixed set of resident workers,
-// shared by every run that carries it in Options.Scheduler. A process
+// WorkerPool is a fixed set of resident workers that runs the parallel
+// regions of every run that carries it in Options.Pool. A process
 // serving many concurrent matchings keeps its total compute parallelism at
 // the pool size instead of multiplying GOMAXPROCS per request; a saturated
 // or closed pool degrades regions to inline execution on the calling
@@ -243,12 +239,12 @@ type Options struct {
 	// ObsHandler. The nil default records nothing and costs nothing.
 	Recorder *Recorder
 
-	// Scheduler, when non-nil, supplies the workers for every parallel
-	// region of the run — typically a WorkerPool shared across concurrent
-	// runs so their combined parallelism stays bounded at the pool size.
-	// Nil spawns fresh goroutines per parallel call (the right default for
-	// a run that owns the machine). Serial algorithms ignore it.
-	Scheduler Scheduler
+	// Pool, when non-nil, supplies the workers for every parallel region of
+	// the run — a WorkerPool shared across concurrent runs so their
+	// combined parallelism stays bounded at the pool size. Nil spawns fresh
+	// goroutines per parallel call (the right default for a run that owns
+	// the machine). Serial algorithms ignore it.
+	Pool *WorkerPool
 }
 
 // Result is the outcome of Match.
@@ -340,7 +336,7 @@ func finishMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Optio
 			TraceFrontiers: opts.TraceFrontiers,
 			OnPhase:        opts.OnPhase,
 			Recorder:       opts.Recorder,
-			Sched:          opts.Scheduler,
+			Pool:           opts.Pool,
 		}
 		if opts.Algorithm != MSBFS {
 			co.DirectionOptimized = true
@@ -348,9 +344,9 @@ func finishMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Optio
 		co.Grafting = opts.Algorithm == MSBFSGraft
 		stats, err = core.RunCtx(ctx, g, m, co)
 	case PothenFan:
-		stats, err = pf.RunCtx(ctx, g, m, pf.Options{Threads: opts.Threads, OnPhase: opts.OnPhase, Recorder: opts.Recorder, Sched: opts.Scheduler})
+		stats, err = pf.RunCtx(ctx, g, m, pf.Options{Threads: opts.Threads, OnPhase: opts.OnPhase, Recorder: opts.Recorder, Pool: opts.Pool})
 	case PushRelabel:
-		stats, err = pushrelabel.RunCtx(ctx, g, m, pushrelabel.Options{Threads: opts.Threads, OnPhase: opts.OnPhase, Recorder: opts.Recorder, Sched: opts.Scheduler})
+		stats, err = pushrelabel.RunCtx(ctx, g, m, pushrelabel.Options{Threads: opts.Threads, OnPhase: opts.OnPhase, Recorder: opts.Recorder, Pool: opts.Pool})
 	case HopcroftKarp, SSBFS, SSDFS:
 		if err = ctx.Err(); err == nil {
 			//lint:ignore proto-exhaustive the enclosing case arm already narrowed to the three serial algorithms; the outer default rejects unknown values

@@ -13,11 +13,11 @@ import (
 // families are hot:
 //
 //   - the body of every function literal handed to an internal/par entry
-//     point (For, ForCtx, ForDynamic, ForDynamicCtx, Run, RunCtx) — extended
-//     by a fixpoint over module-local "hot wrappers": a function whose
-//     func-typed parameter is forwarded into a hot call, or invoked inside a
-//     literal given to one, is itself a hot entry (this discovers the repo's
-//     pfor/pforDyn/eachRank-style wrappers automatically);
+//     point (parEntryNames) — extended by a fixpoint over module-local "hot
+//     wrappers": a function whose func-typed parameter is forwarded into a
+//     hot call, or invoked inside a literal given to one, is itself a hot
+//     entry (this discovers the repo's pfor/pforDyn-style wrappers
+//     automatically);
 //   - every for/range loop body in a Config.HotPackages package (the
 //     BFS/superstep drivers).
 //
@@ -36,10 +36,10 @@ func HotPathAlloc() Check {
 }
 
 // parEntryNames are the internal/par entry points whose func arguments run
-// per chunk on the worker pool.
+// per block on a region's workers: For and ForDynamic, and the region
+// methods (*Pool).ForCtx and (*Pool).ForDynamicCtx.
 var parEntryNames = map[string]bool{
 	"For": true, "ForCtx": true, "ForDynamic": true, "ForDynamicCtx": true,
-	"Run": true, "RunCtx": true,
 }
 
 func isParEntry(obj *types.Func) bool {
@@ -143,7 +143,7 @@ func runHotPathAlloc(prog *Program) []Diagnostic {
 			})
 		}
 		// A func param invoked inside a hot literal is a hot param too
-		// (the eachRank pattern: par body calls f(...)).
+		// (a per-item wrapper: the par body calls f(...)).
 		for lit, pkg := range hotLits {
 			ast.Inspect(lit.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)

@@ -5,6 +5,3 @@ package par
 
 // For runs body over [0, n); the fixture only needs the signature shape.
 func For(n, procs int, body func(lo, hi int)) { body(0, n) }
-
-// Run invokes fn once per worker.
-func Run(procs int, fn func(w int)) { fn(0) }

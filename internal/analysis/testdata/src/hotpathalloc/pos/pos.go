@@ -65,8 +65,8 @@ func ThroughWrapper(n int) {
 	})
 }
 
-// each invokes its parameter inside a literal handed to par.For — the
-// eachRank pattern; its call-site literals are hot regions too.
+// each invokes its parameter inside a literal handed to par.For — a
+// per-item wrapper; its call-site literals are hot regions too.
 func each(n int, f func(i int)) {
 	par.For(n, 4, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -40,10 +40,6 @@ type engine struct {
 	ctx context.Context
 	err error
 
-	// sched supplies the workers of every parallel region (never nil; the
-	// spawn-per-call default when Options.Sched is unset).
-	sched par.Scheduler
-
 	visited []int32 // Y: 0 unvisited, 1 claimed by a tree this phase
 	parentY []int32 // Y: parent X vertex in its alternating tree
 	rootX   []int32 // X: root of the tree containing x, or none
@@ -134,7 +130,6 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		m:          m,
 		opts:       opts,
 		ctx:        ctx,
-		sched:      par.SchedulerOrSpawn(opts.Sched),
 		visited:    make([]int32, ny),
 		parentY:    make([]int32, ny),
 		rootX:      make([]int32, nx),
@@ -181,7 +176,7 @@ func (e *engine) pfor(n int, body func(worker, lo, hi int)) bool {
 	if e.err != nil {
 		return false
 	}
-	if err := e.sched.ForCtx(e.ctx, e.opts.Threads, n, body); err != nil {
+	if err := e.opts.Pool.ForCtx(e.ctx, e.opts.Threads, n, body); err != nil {
 		e.err = err
 		return false
 	}
@@ -193,7 +188,7 @@ func (e *engine) pforDyn(n, grain int, body func(worker, lo, hi int)) bool {
 	if e.err != nil {
 		return false
 	}
-	if err := e.sched.ForDynamicCtx(e.ctx, e.opts.Threads, n, grain, body); err != nil {
+	if err := e.opts.Pool.ForDynamicCtx(e.ctx, e.opts.Threads, n, grain, body); err != nil {
 		e.err = err
 		return false
 	}

@@ -63,11 +63,10 @@ type Options struct {
 	// the nil default degrades every instrumentation point to a nil check.
 	Recorder *obs.Recorder
 
-	// Sched supplies the workers for every parallel region of the run. Nil
-	// means per-call goroutine fan-out (par.ForCtx and friends); a shared
-	// *par.Pool lets many concurrent runs split a fixed worker budget
-	// instead of each spawning its own.
-	Sched par.Scheduler
+	// Pool supplies the workers for every parallel region of the run. Nil
+	// means per-call goroutine fan-out; a shared pool lets many concurrent
+	// runs split a fixed worker budget instead of each spawning its own.
+	Pool *par.Pool
 }
 
 // Defaults fills unset fields with the paper's defaults and returns the

@@ -103,13 +103,10 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	return o
 }
 
-// ClusterStats extends the matching statistics with the distributed cost
-// model and the run's failure/recovery history.
+// ClusterStats extends the distributed cost model of Stats with the run's
+// trace id and failure/recovery history.
 type ClusterStats struct {
-	*matching.Stats
-	Ranks      int
-	Supersteps int64
-	Messages   int64
+	Stats
 
 	// Trace is the run's trace id (16-hex), minted at coordinator start and
 	// propagated to every rank in the Welcome; all shipped spans carry it.
@@ -198,10 +195,13 @@ type Coordinator struct {
 	closeOnce  sync.Once
 
 	// Driver-owned superstep state (no locking: single driver goroutine).
+	// lastGood is the recovery anchor: the matching gathered at the last
+	// phase boundary, which every epoch rescatters.
 	ssid     uint64
 	inboxes  [][]message
 	renewNew []int32
 	stepBuf  []byte
+	lastGood *matching.Matching
 
 	stats      ClusterStats
 	reconnects atomic.Int64 // handshake goroutines bump this; folded into stats by the driver
@@ -584,11 +584,12 @@ func (c *Coordinator) dead(rank int) error {
 	return nil
 }
 
-// round broadcasts one superstep order to every rank and gathers every
-// response, returning them indexed by rank. scatterM carries the matching for
-// opScatter rounds. On return the routed outboxes have replaced c.inboxes
-// and the renewable merge is queued for the next round.
-func (c *Coordinator) round(ctx context.Context, op byte, scatterM *matching.Matching) ([]stepDoneFrame, error) {
+// step broadcasts one superstep order to every rank and gathers every
+// response, returning them indexed by rank with the number of messages
+// routed. scatterM carries the matching for opScatter rounds. On return the
+// routed outboxes have replaced c.inboxes and the renewable merge is queued
+// for the next round.
+func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matching) ([]stepDoneFrame, int64, error) {
 	c.ssid++
 	epoch := c.epoch.Load()
 	for rank, s := range c.slots {
@@ -611,10 +612,10 @@ func (c *Coordinator) round(ctx context.Context, op byte, scatterM *matching.Mat
 		sess := s.sess
 		s.mu.Unlock()
 		if sess == nil {
-			return nil, &errRankDead{rank: rank, err: &distnet.PeerDownError{Peer: rank, MissedFor: "no session"}} //lint:ignore hotpath-alloc error exit, taken at most once per round
+			return nil, 0, &errRankDead{rank: rank, err: &distnet.PeerDownError{Peer: rank, MissedFor: "no session"}} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
 		if err := sess.Send(fStep, c.stepBuf); err != nil {
-			return nil, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
+			return nil, 0, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
 	}
 	c.stats.Messages += int64(len(c.renewNew) * (c.part.K - 1))
@@ -625,7 +626,7 @@ func (c *Coordinator) round(ctx context.Context, op byte, scatterM *matching.Mat
 	for rank := range c.slots {
 		f, err := c.gather(ctx, rank, epoch, c.ssid)
 		if err != nil {
-			return nil, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
+			return nil, 0, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
 		results[rank] = f
 	}
@@ -647,7 +648,7 @@ func (c *Coordinator) round(ctx context.Context, op byte, scatterM *matching.Mat
 	c.stats.Messages += msgs
 	c.mSupersteps.Add(0, 1)
 	c.mMessages.Add(0, msgs)
-	return results, nil
+	return results, msgs, nil
 }
 
 // gather waits for rank's response to (epoch, ssid), discarding stale frames
@@ -673,23 +674,18 @@ func (c *Coordinator) gather(ctx context.Context, rank int, epoch, ssid uint64) 
 	}
 }
 
-// frontierTotal sums the frontier sizes a round reported.
-func frontierTotal(results []stepDoneFrame) int64 {
-	var n int64
+// round is one runPhases round over the cluster (see superstepper): a step
+// whose per-rank results are summed.
+func (c *Coordinator) round(ctx context.Context, op byte) (info [2]int64, msgs int64, err error) {
+	results, msgs, err := c.step(ctx, op, nil)
+	if err != nil {
+		return info, 0, err
+	}
 	for i := range results {
-		n += results[i].Info[0]
+		info[0] += results[i].Info[0]
+		info[1] += results[i].Info[1]
 	}
-	return n
-}
-
-// outboxTotal counts the messages a round routed (already merged into
-// c.inboxes): the augmentation live() test.
-func (c *Coordinator) outboxTotal() int64 {
-	var n int64
-	for _, in := range c.inboxes {
-		n += int64(len(in))
-	}
-	return n
+	return info, msgs, nil
 }
 
 // Run executes the distributed matching over the connected (and still
@@ -700,11 +696,13 @@ func (c *Coordinator) Run(ctx context.Context, m *matching.Matching) (ClusterSta
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.stats.Stats = &matching.Stats{
-		Algorithm: "Cluster-MS-BFS-Graft",
-		Threads:   c.part.K,
+	c.stats.Stats = Stats{
+		Stats: &matching.Stats{
+			Algorithm: "Cluster-MS-BFS-Graft",
+			Threads:   c.part.K,
+		},
+		Ranks: c.part.K,
 	}
-	c.stats.Ranks = c.part.K
 	c.stats.Trace = obs.TraceHex(c.trace)
 	c.stats.InitialCardinality = m.Cardinality()
 	start := time.Now()
@@ -716,10 +714,11 @@ func (c *Coordinator) Run(ctx context.Context, m *matching.Matching) (ClusterSta
 			copy(lastGood.MateY, snap.MateY)
 		}
 	}
+	c.lastGood = lastGood
 
 	err := c.awaitCluster(ctx)
 	if err == nil {
-		err = c.drive(ctx, lastGood)
+		err = c.drive(ctx)
 	}
 
 	copy(m.MateX, lastGood.MateX)
@@ -760,13 +759,13 @@ func (c *Coordinator) awaitCluster(ctx context.Context) error {
 	}
 }
 
-// drive loops epochs: each attempt runs the phase loop from lastGood; a rank
-// death rolls back here, recovers the rank, and retries. lastGood advances
-// monotonically at every completed phase, so progress survives any number of
-// rollbacks within the recovery budget.
-func (c *Coordinator) drive(ctx context.Context, lastGood *matching.Matching) error {
+// drive loops epochs: each attempt runs the phase loop from c.lastGood; a
+// rank death rolls back here, recovers the rank, and retries. c.lastGood
+// advances monotonically at every completed phase, so progress survives any
+// number of rollbacks within the recovery budget.
+func (c *Coordinator) drive(ctx context.Context) error {
 	for {
-		err := c.runEpoch(ctx, lastGood)
+		err := c.runEpoch(ctx)
 		if err == nil {
 			return nil
 		}
@@ -871,113 +870,31 @@ func (c *Coordinator) drainFrames(s *slot) {
 	}
 }
 
-// runEpoch runs the phase loop from lastGood until the matching is maximum,
-// updating lastGood (and the checkpoint) at every phase boundary. Any error
-// unwinds to drive for recovery.
-func (c *Coordinator) runEpoch(ctx context.Context, lastGood *matching.Matching) error {
-	// Fresh epoch: every rank reloads lastGood and full derived-state reset.
+// runEpoch rescatters c.lastGood to every rank, resetting all derived
+// state, and runs the phase schedule until the matching is maximum; each
+// phase boundary updates c.lastGood (and the checkpoint). Any error unwinds
+// to drive for recovery.
+func (c *Coordinator) runEpoch(ctx context.Context) error {
 	for i := range c.inboxes {
 		c.inboxes[i] = c.inboxes[i][:0]
 	}
 	c.renewNew = c.renewNew[:0]
-	if _, err := c.round(ctx, opScatter, lastGood); err != nil {
+	if _, _, err := c.step(ctx, opScatter, c.lastGood); err != nil {
 		return err
 	}
-	results, err := c.round(ctx, opSeed, nil)
-	if err != nil {
-		return err
-	}
-	frontier := frontierTotal(results)
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		phaseStart := time.Now()
-
-		// BFS: expand/claim/apply per level until the global frontier drains.
-		for frontier > 0 {
-			if _, err := c.round(ctx, opExpand, nil); err != nil {
-				return err
-			}
-			c.stats.EdgesTraversed += c.outboxTotal()
-			if _, err := c.round(ctx, opClaim, nil); err != nil {
-				return err
-			}
-			results, err = c.round(ctx, opApply, nil)
-			if err != nil {
-				return err
-			}
-			frontier = frontierTotal(results)
-		}
-
-		// Augment: token passing until no walk traffic remains.
-		results, err = c.round(ctx, opAugInit, nil)
-		if err != nil {
-			return err
-		}
-		paths := frontierTotal(results)
-		for c.outboxTotal() > 0 {
-			if _, err := c.round(ctx, opAugStep, nil); err != nil {
-				return err
-			}
-		}
-		c.stats.AugPaths += paths
-		c.stats.Phases++
-
-		if err := c.phaseBoundary(ctx, lastGood, phaseStart); err != nil {
-			return err
-		}
-		if paths == 0 {
-			return nil
-		}
-
-		// Graft or rebuild, per the census.
-		results, err = c.round(ctx, opCensus, nil)
-		if err != nil {
-			return err
-		}
-		var activeX, renewY int64
-		for i := range results {
-			activeX += results[i].Info[0]
-			renewY += results[i].Info[1]
-		}
-		if c.opts.Grafting && float64(activeX) > float64(renewY)/c.opts.Alpha {
-			c.stats.Grafts++
-			if _, err := c.round(ctx, opGraftQuery, nil); err != nil {
-				return err
-			}
-			c.stats.EdgesTraversed += c.outboxTotal()
-			if _, err := c.round(ctx, opGraftAccept, nil); err != nil {
-				return err
-			}
-			if _, err := c.round(ctx, opGraftAdopt, nil); err != nil {
-				return err
-			}
-			results, err = c.round(ctx, opGraftApply, nil)
-			if err != nil {
-				return err
-			}
-		} else {
-			c.stats.Rebuilds++
-			results, err = c.round(ctx, opRebuild, nil)
-			if err != nil {
-				return err
-			}
-		}
-		frontier = frontierTotal(results)
-	}
+	return runPhases(ctx, c, &c.stats.Stats, c.opts.Grafting, c.opts.Alpha)
 }
 
-// phaseBoundary gathers the now-consistent mate arrays into lastGood, saves
-// the checkpoint, and exports the phase observability. This is the recovery
+// phaseDone gathers the now-consistent mate arrays into c.lastGood, saves the
+// checkpoint, and exports the phase observability. This is the recovery
 // anchor: everything after a rank death rolls back to the matching gathered
 // here, which monotonicity makes safe.
-func (c *Coordinator) phaseBoundary(ctx context.Context, lastGood *matching.Matching, phaseStart time.Time) error {
-	results, err := c.round(ctx, opReportMates, nil)
+func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error {
+	results, _, err := c.step(ctx, opReportMates, nil)
 	if err != nil {
 		return err
 	}
+	lastGood := c.lastGood
 	for rank := range results {
 		xlo, xhi := c.part.RangeX(rank)
 		ylo, yhi := c.part.RangeY(rank)

@@ -3,7 +3,9 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"graftmatch/internal/gen"
 	"graftmatch/internal/hk"
 	"graftmatch/internal/matching"
+	"graftmatch/internal/matchinit"
 )
 
 // refCardinality is the differential oracle: Hopcroft–Karp's maximum.
@@ -55,9 +58,16 @@ func startWorker(ctx context.Context, wg *sync.WaitGroup, errs chan<- error, opt
 }
 
 // runCluster drives a full multi-process-shaped run — coordinator plus
-// opts.Ranks goroutine workers over real sockets at addr — and requires every
-// worker to exit clean.
+// opts.Ranks goroutine workers over real sockets at addr — from the empty
+// matching, and requires every worker to exit clean.
 func runCluster(t *testing.T, g *bipartite.Graph, addr string, opts ClusterOptions) (*matching.Matching, ClusterStats) {
+	t.Helper()
+	m := matching.New(g.NX(), g.NY())
+	return m, runClusterFrom(t, g, addr, opts, m)
+}
+
+// runClusterFrom is runCluster starting from (and updating) m.
+func runClusterFrom(t *testing.T, g *bipartite.Graph, addr string, opts ClusterOptions, m *matching.Matching) ClusterStats {
 	t.Helper()
 	c, err := NewCoordinator(g, addr, opts)
 	if err != nil {
@@ -71,7 +81,6 @@ func runCluster(t *testing.T, g *bipartite.Graph, addr string, opts ClusterOptio
 	for i := 0; i < opts.Ranks; i++ {
 		startWorker(ctx, &wg, errs, testWorkerOpts(c.Addr(), -1, g))
 	}
-	m := matching.New(g.NX(), g.NY())
 	s, err := c.Run(ctx, m)
 	if err != nil {
 		cancel()
@@ -85,7 +94,88 @@ func runCluster(t *testing.T, g *bipartite.Graph, addr string, opts ClusterOptio
 			t.Errorf("worker exited with error: %v", e)
 		}
 	}
-	return m, s
+	return s
+}
+
+// TestClusterMatchesEngine: the in-process Engine and a unix-socket cluster
+// run one phase schedule (runPhases) over one set of rank ops, so from the
+// same start they must reach the same mate arrays with the same counters.
+// The superstep counts differ by design: the cluster adds one scatter round
+// per epoch and one report-mates round per phase.
+func TestClusterMatchesEngine(t *testing.T) {
+	graphs := []struct {
+		name string
+		g    *bipartite.Graph
+	}{
+		{"er", gen.ER(400, 400, 1600, 21)},
+		{"weblike", gen.WebLike(10, 6, 0.30, 5)},
+		{"rmat", gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7)},
+	}
+	type run struct {
+		graph    int
+		ranks    int
+		greedy   bool
+		grafting bool
+	}
+	var runs []run
+	for gi := range graphs {
+		for _, k := range []int{1, 2, 4} {
+			for _, greedy := range []bool{false, true} {
+				runs = append(runs, run{gi, k, greedy, true})
+			}
+		}
+	}
+	// Without grafting every phase but the last ends in a rebuild round.
+	runs = append(runs, run{0, 2, false, false})
+
+	// One short directory for every socket: subtest names would make the
+	// path longer than a unix socket address allows on long temp dirs.
+	dir := t.TempDir()
+	for i, r := range runs {
+		g := graphs[r.graph].g
+		name := fmt.Sprintf("%s/k=%d/greedy=%v/graft=%v", graphs[r.graph].name, r.ranks, r.greedy, r.grafting)
+		t.Run(name, func(t *testing.T) {
+			start := func() *matching.Matching {
+				if r.greedy {
+					return matchinit.Greedy(g)
+				}
+				return matching.New(g.NX(), g.NY())
+			}
+			em := start()
+			es := Run(g, em, Options{Ranks: r.ranks, Grafting: r.grafting})
+
+			opts := testClusterOpts()
+			opts.Ranks = r.ranks
+			opts.Grafting = r.grafting
+			cm := start()
+			cs := runClusterFrom(t, g, filepath.Join(dir, fmt.Sprintf("%d.sock", i)), opts, cm)
+
+			if !slices.Equal(em.MateX, cm.MateX) || !slices.Equal(em.MateY, cm.MateY) {
+				t.Fatalf("mate arrays differ: engine |M|=%d, cluster |M|=%d", em.Cardinality(), cm.Cardinality())
+			}
+			for _, c := range []struct {
+				name     string
+				eng, clu int64
+			}{
+				{"phases", es.Phases, cs.Phases},
+				{"edges", es.EdgesTraversed, cs.EdgesTraversed},
+				{"augpaths", es.AugPaths, cs.AugPaths},
+				{"grafts", es.Grafts, cs.Grafts},
+				{"rebuilds", es.Rebuilds, cs.Rebuilds},
+				{"messages", es.Messages, cs.Messages},
+			} {
+				if c.eng != c.clu {
+					t.Errorf("%s: engine %d, cluster %d", c.name, c.eng, c.clu)
+				}
+			}
+			if d := cs.Supersteps - es.Supersteps; d != 1+es.Phases {
+				t.Errorf("supersteps: cluster %d − engine %d = %d, want 1 + %d phases", cs.Supersteps, es.Supersteps, d, es.Phases)
+			}
+			if !r.grafting && es.Phases > 1 && es.Rebuilds == 0 {
+				t.Errorf("no rebuild round ran in %d phases", es.Phases)
+			}
+		})
+	}
 }
 
 // TestClusterHappyPath: 4 workers over real TCP must reproduce the reference

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -91,13 +92,16 @@ func TestDistMatchesShared(t *testing.T) {
 
 // TestDeterministicAcrossSchedulers: the BSP exchange is deterministic, so
 // two runs with the same rank count must produce identical mate arrays even
-// though supersteps execute on different goroutines.
+// though supersteps execute on different goroutines: one at GOMAXPROCS 1,
+// where every round runs its ranks serially, and one at GOMAXPROCS 4.
 func TestDeterministicAcrossSchedulers(t *testing.T) {
 	g := gen.ER(300, 300, 1200, 7)
 	a := matchinit.Greedy(g)
 	b := matchinit.Greedy(g)
-	sa := Run(g, a, Options{Ranks: 4, Grafting: true, Workers: 1})
-	sb := Run(g, b, Options{Ranks: 4, Grafting: true, Workers: 8})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sa := Run(g, a, Options{Ranks: 4, Grafting: true})
+	runtime.GOMAXPROCS(4)
+	sb := Run(g, b, Options{Ranks: 4, Grafting: true})
 	for i := range a.MateX {
 		if a.MateX[i] != b.MateX[i] {
 			t.Fatal("distributed run not deterministic")

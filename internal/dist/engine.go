@@ -22,9 +22,6 @@ type Options struct {
 	// Grafting toggles the tree-grafting frontier reconstruction; off,
 	// every phase restarts from the unmatched X vertices.
 	Grafting bool
-	// Workers caps the goroutines driving rank supersteps; 0 means
-	// GOMAXPROCS. Purely an execution detail of the simulation.
-	Workers int
 
 	// OnPhase, when non-nil, is invoked on the driver goroutine after every
 	// completed phase (augmentation done, mate arrays consistent) with the
@@ -109,7 +106,9 @@ func (r *rank) active(x int32) bool {
 	return root != none && !r.renewable[root]
 }
 
-// Engine runs the distributed MS-BFS-Graft simulation.
+// Engine runs the distributed MS-BFS-Graft simulation: the runPhases
+// schedule over in-process ranks, each round's rank compute spread over
+// GOMAXPROCS goroutines.
 type Engine struct {
 	g    *bipartite.Graph
 	part Partition
@@ -118,8 +117,14 @@ type Engine struct {
 
 	ranks []*rank
 
-	// census accumulators indexed by rank id, reused across phases.
-	censusAX, censusRY []int64
+	// Round state. The per-rank bodies are bound once in New so a round
+	// allocates no closure: execRanks runs curOp and stores each rank's
+	// results in info; deliverRanks fills inboxes and merges allNew.
+	curOp        byte
+	info         [][2]int64
+	allNew       []int32
+	execRanks    func(worker, lo, hi int)
+	deliverRanks func(worker, lo, hi int)
 
 	stats Stats
 
@@ -139,9 +144,6 @@ func New(g *bipartite.Graph, opts Options) *Engine {
 	if opts.Alpha <= 0 {
 		opts.Alpha = 5
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = par.DefaultWorkers()
-	}
 	e := &Engine{
 		g:    g,
 		part: NewPartition(opts.Ranks, g.NX(), g.NY()),
@@ -152,8 +154,21 @@ func New(g *bipartite.Graph, opts Options) *Engine {
 	for i := range e.ranks {
 		e.ranks[i] = newRank(e.part, g.NX(), i)
 	}
-	e.censusAX = make([]int64, e.part.K)
-	e.censusRY = make([]int64, e.part.K)
+	e.info = make([][2]int64, e.part.K)
+	e.execRanks = func(_, lo, hi int) {
+		for _, r := range e.ranks[lo:hi] {
+			e.info[r.id], _ = e.op.exec(r, e.curOp, r.in)
+		}
+	}
+	e.deliverRanks = func(_, lo, hi int) {
+		for _, d := range e.ranks[lo:hi] {
+			d.in = d.in[:0]
+			for _, s := range e.ranks {
+				d.in = append(d.in, s.out[d.id]...)
+			}
+			e.op.mergeRenewable(d, e.allNew)
+		}
+	}
 	e.rec = opts.Recorder
 	e.mSupersteps = e.rec.Counter("graftmatch_dist_supersteps_total", "BSP supersteps (network rounds) executed")
 	e.mMessages = e.rec.Counter("graftmatch_dist_messages_total", "logical point-to-point messages plus collective broadcast volume")
@@ -193,7 +208,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 	e.stats.InitialCardinality = m.Cardinality()
 	start := time.Now()
 	e.scatter(m)
-	err := e.run(ctx)
+	err := runPhases(ctx, e, &e.stats, e.opts.Grafting, e.opts.Alpha)
 	e.gather(m)
 	e.stats.Runtime = time.Since(start)
 	e.stats.FinalCardinality = m.Cardinality()
@@ -203,8 +218,10 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 
 // scatter distributes the initial matching and resets per-rank state.
 func (e *Engine) scatter(m *matching.Matching) {
-	e.eachRank(func(r *rank) {
-		e.op.scatter(r, m.MateX[r.xlo:r.xhi], m.MateY[r.ylo:r.yhi])
+	par.ForDynamic(0, len(e.ranks), 1, func(_, lo, hi int) {
+		for _, r := range e.ranks[lo:hi] {
+			e.op.scatter(r, m.MateX[r.xlo:r.xhi], m.MateY[r.ylo:r.yhi])
+		}
 	})
 }
 
@@ -220,26 +237,29 @@ func (e *Engine) gather(m *matching.Matching) {
 	}
 }
 
-// eachRank runs body on every rank concurrently and waits (one superstep's
-// compute part).
-func (e *Engine) eachRank(body func(*rank)) {
-	par.ForDynamic(e.opts.Workers, len(e.ranks), 1, func(_ int, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(e.ranks[i])
-		}
-	})
+// round runs op on every rank concurrently, then exchanges; see
+// superstepper. The in-process ranks never fail, so err is always nil.
+func (e *Engine) round(_ context.Context, op byte) (info [2]int64, msgs int64, err error) {
+	e.curOp = op
+	par.ForDynamic(0, len(e.ranks), 1, e.execRanks)
+	for _, ri := range e.info {
+		info[0] += ri[0]
+		info[1] += ri[1]
+	}
+	return info, e.exchange(), nil
 }
 
 // exchange delivers all outboxes: rank d's inbox becomes the concatenation
 // of out[s][d] in source order (a deterministic alltoallv), and the
 // replicated renewable bitmap absorbs every rank's newRenewable roots (a
-// collective). Delivery is reliable: the BSP engine is a deterministic cost
-// model, and network faults are the cluster runtime's concern (dist/net).
-func (e *Engine) exchange() {
+// collective). It returns the point-to-point messages routed. Delivery is
+// reliable: the BSP engine is a deterministic cost model, and network faults
+// are the cluster runtime's concern (dist/net).
+func (e *Engine) exchange() int64 {
 	e.stats.Supersteps++
-	var allNew []int32
+	e.allNew = e.allNew[:0]
 	for _, r := range e.ranks {
-		allNew = takeNewRenewable(r, allNew)
+		e.allNew = takeNewRenewable(r, e.allNew)
 	}
 	var msgs int64
 	for _, s := range e.ranks {
@@ -247,7 +267,7 @@ func (e *Engine) exchange() {
 			msgs += int64(len(s.out[dst]))
 		}
 	}
-	total := msgs + int64(len(allNew)*(e.part.K-1))
+	total := msgs + int64(len(e.allNew)*(e.part.K-1))
 	e.stats.Messages += total
 	e.mSupersteps.Add(0, 1)
 	e.mMessages.Add(0, total)
@@ -262,45 +282,20 @@ func (e *Engine) exchange() {
 		e.lastSS = now
 	}
 
-	e.eachRank(func(d *rank) {
-		d.in = d.in[:0]
-		for _, s := range e.ranks {
-			d.in = append(d.in, s.out[d.id]...)
-		}
-		e.op.mergeRenewable(d, allNew)
-	})
+	par.ForDynamic(0, len(e.ranks), 1, e.deliverRanks)
 	for _, s := range e.ranks {
 		for dst := range s.out {
 			s.out[dst] = s.out[dst][:0]
 		}
 	}
-}
-
-func (e *Engine) run(ctx context.Context) error {
-	e.seedFromUnmatched()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		phaseStart := time.Now()
-		if err := e.bfs(ctx); err != nil {
-			return err
-		}
-		paths := e.augment()
-		e.stats.Phases++
-		e.phaseDone(phaseStart)
-		if paths == 0 {
-			return nil
-		}
-		e.graft()
-	}
+	return msgs
 }
 
 // phaseDone exports the phase boundary: one phase span, the recorder status
 // update, and the OnPhase hook. The mate arrays are consistent here
 // (augmentation walks have drained), so the reported cardinality is the
 // matching a gather at this instant would see.
-func (e *Engine) phaseDone(phaseStart time.Time) {
+func (e *Engine) phaseDone(_ context.Context, phaseStart time.Time) error {
 	card := e.stats.InitialCardinality + e.stats.AugPaths
 	e.mPhases.Add(0, 1)
 	e.rec.Span("dist", "phase", phaseStart, time.Since(phaseStart), card)
@@ -308,130 +303,5 @@ func (e *Engine) phaseDone(phaseStart time.Time) {
 	if e.opts.OnPhase != nil {
 		e.opts.OnPhase(e.stats.Phases, card)
 	}
-}
-
-// seedFromUnmatched roots a fresh singleton tree at every owned unmatched X.
-func (e *Engine) seedFromUnmatched() {
-	e.eachRank(e.op.seed)
-}
-
-// frontierEmpty checks global frontier emptiness (an allreduce in MPI).
-func (e *Engine) frontierEmpty() bool {
-	for _, r := range e.ranks {
-		if len(r.frontier) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// bfs grows the alternating forest level-synchronously: an expand superstep
-// sends claims to Y owners, a claim superstep resolves ownership and routes
-// frontier additions and leaf discoveries, an apply superstep installs them.
-// The context is polled between levels — forest state is partial there, but
-// the mate arrays are untouched, so stopping is always safe.
-func (e *Engine) bfs(ctx context.Context) error {
-	// The superstep bodies are loop-invariant; binding them once per bfs
-	// call keeps the level loop free of per-iteration closure allocations.
-	expand := e.op.expand
-	claim := func(r *rank) { e.op.claim(r, r.in) }
-	apply := func(r *rank) { e.op.apply(r, r.in) }
-	for !e.frontierEmpty() {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		e.eachRank(expand)
-		e.countEdges()
-		e.exchange()
-
-		e.eachRank(claim)
-		e.exchange()
-
-		e.eachRank(apply)
-		e.exchange()
-	}
 	return nil
-}
-
-// countEdges folds the expand superstep's traversal volume into the stats.
-func (e *Engine) countEdges() {
-	// Edge counting happens inline above via closures writing local vars;
-	// recompute cheaply instead: traversal equals claims sent this round.
-	var claims int64
-	for _, r := range e.ranks {
-		for dst := range r.out {
-			claims += int64(len(r.out[dst]))
-		}
-	}
-	e.stats.EdgesTraversed += claims
-}
-
-// augment walks every discovered augmenting path by token passing:
-// a Y-side token asks parentY's owner to rematch, an X-side token flips the
-// mate and forwards the walk toward the root.
-func (e *Engine) augment() int64 {
-	// Initiate a walk per owned renewable root.
-	e.eachRank(e.op.augInit)
-
-	live := func() bool {
-		for _, r := range e.ranks {
-			for dst := range r.out {
-				if len(r.out[dst]) > 0 {
-					return true
-				}
-			}
-		}
-		return false
-	}
-
-	// Loop-invariant token-passing body, hoisted so each walk round does
-	// not allocate a fresh closure.
-	step := func(r *rank) { e.op.augStep(r, r.in) }
-	for live() {
-		e.exchange()
-		e.eachRank(step)
-	}
-
-	var total int64
-	for _, r := range e.ranks {
-		total += r.paths
-		r.paths = 0
-	}
-	e.stats.AugPaths += total
-	return total
-}
-
-// graft is the distributed Algorithm 7: census by allreduce, renewable-Y
-// reset, and either an offer/accept grafting exchange or a full restart
-// from the unmatched X vertices.
-func (e *Engine) graft() {
-	e.eachRank(func(r *rank) {
-		e.censusAX[r.id], e.censusRY[r.id] = e.op.census(r)
-	})
-	var activeX, renewYTotal int64
-	for i := range e.ranks {
-		activeX += e.censusAX[i]
-		renewYTotal += e.censusRY[i]
-	}
-
-	if e.opts.Grafting && float64(activeX) > float64(renewYTotal)/e.opts.Alpha {
-		// Offer/accept grafting: freed Y vertices query the owners of
-		// their neighbors; owners of active X vertices accept; each Y
-		// adopts its first acceptance.
-		e.stats.Grafts++
-		e.eachRank(e.op.graftQuery)
-		e.countEdges()
-		e.exchange()
-		e.eachRank(func(r *rank) { e.op.graftAccept(r, r.in) })
-		e.exchange()
-		e.eachRank(func(r *rank) { e.op.graftAdopt(r, r.in) })
-		e.exchange()
-		e.eachRank(func(r *rank) { e.op.graftApply(r, r.in) })
-		e.exchange()
-		return
-	}
-
-	// Rebuild: destroy active trees and restart from unmatched X.
-	e.stats.Rebuilds++
-	e.eachRank(e.op.rebuild)
 }

@@ -68,6 +68,49 @@ func (o ops) scatter(r *rank, mateX, mateY []int32) {
 	r.in = r.in[:0]
 }
 
+// exec is the one dispatcher for the schedule ops runPhases issues (opSeed
+// through opRebuild): it runs op on r, with in as the rank's inbox, and
+// returns the op's scalar results — the rank's frontier size after seed,
+// apply, graft-apply and rebuild, the walks aug-init started, and the census
+// pair (active X, renewable Y). ok is false for an op outside the schedule.
+func (o ops) exec(r *rank, op byte, in []message) (info [2]int64, ok bool) {
+	switch op {
+	case opSeed:
+		o.seed(r)
+		info[0] = int64(len(r.frontier))
+	case opExpand:
+		o.expand(r)
+	case opClaim:
+		o.claim(r, in)
+	case opApply:
+		o.apply(r, in)
+		info[0] = int64(len(r.frontier))
+	case opAugInit:
+		o.augInit(r)
+		info[0] = r.paths
+		r.paths = 0
+	case opAugStep:
+		o.augStep(r, in)
+	case opCensus:
+		info[0], info[1] = o.census(r)
+	case opGraftQuery:
+		o.graftQuery(r)
+	case opGraftAccept:
+		o.graftAccept(r, in)
+	case opGraftAdopt:
+		o.graftAdopt(r, in)
+	case opGraftApply:
+		o.graftApply(r, in)
+		info[0] = int64(len(r.frontier))
+	case opRebuild:
+		o.rebuild(r)
+		info[0] = int64(len(r.frontier))
+	default:
+		return info, false
+	}
+	return info, true
+}
+
 // seed roots a fresh singleton tree at every owned unmatched X vertex.
 func (o ops) seed(r *rank) {
 	r.frontier = r.frontier[:0]

@@ -434,7 +434,8 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 
 // execStep runs one superstep order against the rank state and assembles the
 // response: outboxes drained from the rank, newly-renewable roots, and the
-// op's scalar results.
+// op's scalar results. Schedule ops go to ops.exec; scatter and report-mates
+// are the cluster's recovery rounds and exist only here.
 func execStep(o ops, r *rank, f *stepFrame) (*stepDoneFrame, error) {
 	o.mergeRenewable(r, f.RenewNew)
 	done := &stepDoneFrame{Epoch: f.Epoch, SSID: f.SSID, Trace: f.Trace, Op: f.Op}
@@ -447,36 +448,9 @@ func execStep(o ops, r *rank, f *stepFrame) (*stepDoneFrame, error) {
 			}
 		}
 		o.scatter(r, f.MateX, f.MateY)
-	case opSeed:
-		o.seed(r)
-		done.Info[0] = int64(len(r.frontier))
-	case opExpand:
-		o.expand(r)
-	case opClaim:
-		o.claim(r, f.In)
-	case opApply:
-		o.apply(r, f.In)
-		done.Info[0] = int64(len(r.frontier))
-	case opAugInit:
-		o.augInit(r)
-		done.Info[0] = r.paths
-		r.paths = 0
-	case opAugStep:
-		o.augStep(r, f.In)
-	case opCensus:
-		done.Info[0], done.Info[1] = o.census(r)
-	case opGraftQuery:
-		o.graftQuery(r)
-	case opGraftAccept:
-		o.graftAccept(r, f.In)
-	case opGraftAdopt:
-		o.graftAdopt(r, f.In)
-	case opGraftApply:
-		o.graftApply(r, f.In)
-		done.Info[0] = int64(len(r.frontier))
-	case opRebuild:
-		o.rebuild(r)
-		done.Info[0] = int64(len(r.frontier))
+	case opSeed, opExpand, opClaim, opApply, opAugInit, opAugStep, opCensus,
+		opGraftQuery, opGraftAccept, opGraftAdopt, opGraftApply, opRebuild:
+		done.Info, _ = o.exec(r, f.Op, f.In)
 	case opReportMates:
 		done.MateX = r.mateX
 		done.MateY = r.mateY

@@ -10,9 +10,9 @@ import (
 
 // PanicError wraps a panic recovered from a worker of a parallel region. The
 // region's remaining workers are drained and the first panic is surfaced to
-// the caller — as the error of a *Ctx variant, or re-panicked in the caller's
-// goroutine by For/ForDynamic/Run — instead of crashing the process from an
-// unrecoverable goroutine or hanging the region's WaitGroup.
+// the caller — as the error of (*Pool).ForCtx/ForDynamicCtx, or re-panicked
+// in the caller's goroutine by For/ForDynamic — instead of crashing the
+// process from an unrecoverable goroutine or hanging the region's join.
 type PanicError struct {
 	Value any    // the recovered panic value
 	Stack []byte // stack of the panicking worker, captured at recovery
@@ -26,184 +26,75 @@ func (e *PanicError) Error() string { return fmt.Sprintf("par: worker panic: %v"
 // that cancellation latency stays in the microsecond range.
 const ctxGrain = 4096
 
-// gate coordinates early stop across the workers of one parallel region:
-// a worker panic or an expired context flips stop, and workers cease
-// claiming blocks at the next check.
-type gate struct {
-	ctx  context.Context
-	stop atomic.Bool
-	mu   sync.Mutex
-	perr *PanicError
-	cerr error
+// region is the state one parallel region shares across its slices: the
+// body and its range, the claim cursor of a dynamic region, and the
+// early-stop gate — a worker panic or an observed expiry of ctx sets stop,
+// and workers cease claiming blocks at the next check. A nil ctx is never
+// cancelled. The gate is lock-free, so a one-worker region stays on its
+// caller's stack.
+type region struct {
+	ctx    context.Context
+	body   func(worker, lo, hi int)
+	n      int
+	slices int
+	grain  int
+	cursor atomic.Int64 // next unclaimed index of a dynamic region
+	wg     sync.WaitGroup
+
+	stop     atomic.Bool
+	panicked atomic.Bool // claims perr for the first panicking worker
+	perr     *PanicError // read only after the join
 }
 
-func newGate(ctx context.Context) *gate {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return &gate{ctx: ctx}
-}
-
-// stopped reports whether workers must stop claiming blocks, latching the
-// context error on the first observation of an expired context.
-func (g *gate) stopped() bool {
-	if g.stop.Load() {
+// stopped reports whether workers must stop claiming blocks.
+func (r *region) stopped() bool {
+	if r.stop.Load() {
 		return true
 	}
+	if r.ctx == nil {
+		return false
+	}
 	select {
-	case <-g.ctx.Done():
-		g.mu.Lock()
-		if g.cerr == nil {
-			g.cerr = g.ctx.Err()
-		}
-		g.mu.Unlock()
-		g.stop.Store(true)
+	case <-r.ctx.Done():
+		r.stop.Store(true)
 		return true
 	default:
 		return false
 	}
 }
 
-// guard recovers a worker panic into the gate; call via defer at worker entry.
-func (g *gate) guard() {
+// guard recovers a worker panic into the region; call via defer at slice
+// entry.
+func (r *region) guard() {
 	if v := recover(); v != nil {
-		pe := &PanicError{Value: v, Stack: debug.Stack()}
-		g.mu.Lock()
-		if g.perr == nil {
-			g.perr = pe
+		if r.panicked.CompareAndSwap(false, true) {
+			r.perr = &PanicError{Value: v, Stack: debug.Stack()}
 		}
-		g.mu.Unlock()
-		g.stop.Store(true)
+		r.stop.Store(true)
 	}
 }
 
 // err returns the region's outcome after the join: a worker panic takes
-// precedence over cancellation, and nil means the region ran to completion.
-func (g *gate) err() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.perr != nil {
-		return g.perr
+// precedence over cancellation, a stop without a panic was an observed
+// cancellation, and nil means the region ran to completion.
+func (r *region) err() error {
+	if r.perr != nil {
+		return r.perr
 	}
-	return g.cerr
+	if r.stop.Load() {
+		return r.ctx.Err()
+	}
+	return nil
 }
 
-// ForCtx is For with cooperative cancellation and panic containment: workers
-// poll ctx between blocks of at most ctxGrain iterations and stop claiming
-// new blocks once it expires or a sibling panics. Blocks are never
-// interrupted mid-body, so any invariant that holds at body boundaries holds
-// when ForCtx returns. It returns nil on completion, the context's error on
-// cancellation, or a *PanicError wrapping the first worker panic (which wins
-// over cancellation); in every case all workers have exited.
-func ForCtx(ctx context.Context, p int, n int, body func(worker, lo, hi int)) error {
-	p = clampWorkers(p)
-	if n <= 0 {
-		return nil
-	}
-	if p > n {
-		p = n
-	}
-	g := newGate(ctx)
-	if p == 1 {
-		runBlocked(g, 0, 0, n, ctxGrain, body)
-		return g.err()
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	chunk := n / p
-	rem := n % p
-	lo := 0
-	for w := 0; w < p; w++ {
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			runBlocked(g, w, lo, hi, ctxGrain, body)
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	return g.err()
-}
-
-// runBlocked executes body over [lo, hi) in sub-blocks of at most grain
-// iterations, checking the gate between blocks and containing panics.
-func runBlocked(g *gate, w, lo, hi, grain int, body func(worker, lo, hi int)) {
-	defer g.guard()
-	for s := lo; s < hi; s += grain {
-		if g.stopped() {
+// blocks runs the body for worker w over [lo, hi) in blocks of at most
+// r.grain iterations, checking the gate between blocks and containing panics.
+func (r *region) blocks(w, lo, hi int) {
+	defer r.guard()
+	for s := lo; s < hi; s += r.grain {
+		if r.stopped() {
 			return
 		}
-		body(w, s, min(s+grain, hi))
+		r.body(w, s, min(s+r.grain, hi))
 	}
-}
-
-// ForDynamicCtx is ForDynamic with cooperative cancellation and panic
-// containment, with the same contract as ForCtx: the gate is checked before
-// every chunk claim, and an in-flight chunk always completes.
-func ForDynamicCtx(ctx context.Context, p int, n int, grain int, body func(worker, lo, hi int)) error {
-	p = clampWorkers(p)
-	if n <= 0 {
-		return nil
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	g := newGate(ctx)
-	if p == 1 {
-		runBlocked(g, 0, 0, n, grain, body)
-		return g.err()
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer g.guard()
-			for !g.stopped() {
-				lo := cursor.Add(int64(grain)) - int64(grain)
-				if lo >= int64(n) {
-					return
-				}
-				hi := min(lo+int64(grain), int64(n))
-				body(w, int(lo), int(hi))
-			}
-		}(w)
-	}
-	wg.Wait()
-	return g.err()
-}
-
-// RunCtx is Run with panic containment: a panicking worker becomes a
-// *PanicError after every other worker finishes. Cancellation is cooperative
-// — bodies are opaque to RunCtx, so it only refuses to launch when ctx is
-// already expired and reports the context error observed by that check;
-// long-running bodies must watch ctx themselves.
-func RunCtx(ctx context.Context, p int, body func(worker int)) error {
-	p = clampWorkers(p)
-	g := newGate(ctx)
-	if g.stopped() {
-		return g.err()
-	}
-	if p == 1 {
-		func() {
-			defer g.guard()
-			body(0)
-		}()
-		return g.err()
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer g.guard()
-			body(w)
-		}(w)
-	}
-	wg.Wait()
-	return g.err()
 }

@@ -1,15 +1,11 @@
 // Package par provides the shared-memory parallel primitives used by every
-// parallel matching algorithm in this repository: a blocked parallel-for,
-// worker fan-out with per-worker state, and padded per-worker counters that
-// avoid false sharing (the pure-Go stand-in for the paper's NUMA-aware,
-// thread-pinned OpenMP runtime).
+// parallel matching algorithm in this repository: a blocked parallel-for with
+// static or dynamic scheduling, run on fresh goroutines or on a shared Pool,
+// and padded per-worker counters that avoid false sharing (the pure-Go
+// stand-in for the paper's NUMA-aware, thread-pinned OpenMP runtime).
 package par
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // DefaultWorkers returns the worker count used when an Options.Threads is
 // zero: GOMAXPROCS at call time.
@@ -23,118 +19,41 @@ func clampWorkers(p int) int {
 	return p
 }
 
-// For runs body over [0, n) split into contiguous blocks across p workers.
-// body receives the worker id and the half-open range it owns. Blocks are
-// statically scheduled (contiguous, near-equal), matching the level-
-// synchronous structure of the algorithms where per-element work is small
-// and uniform enough that dynamic scheduling overhead is not repaid.
-//
-// A worker panic is contained: the remaining workers are drained (workers
-// that have not started yet are skipped) and the first panic is re-raised in
-// the caller's goroutine as a *PanicError, never crashing the process from
-// an unrecoverable goroutine. Use ForCtx to receive it as an error instead.
+// For runs body over [0, n) split into p contiguous, near-equal blocks, one
+// body call per worker with its id and half-open range: static scheduling for
+// the level-synchronous steps whose per-element work is small and uniform.
+// It is the nil-pool region of (*Pool).ForCtx without cancellation or
+// sub-blocking. A worker panic is contained — the other workers drain and
+// skip what they have not started — and re-raised in the caller's goroutine
+// as a *PanicError.
 func For(p int, n int, body func(worker, lo, hi int)) {
-	p = clampWorkers(p)
 	if n <= 0 {
 		return
 	}
-	if p == 1 || n == 1 {
+	if clampWorkers(p) == 1 || n == 1 {
 		body(0, 0, n)
 		return
 	}
-	if p > n {
-		p = n
-	}
-	g := newGate(nil)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	chunk := n / p
-	rem := n % p
-	lo := 0
-	for w := 0; w < p; w++ {
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer g.guard()
-			if !g.stop.Load() {
-				body(w, lo, hi)
-			}
-		}(w, lo, hi)
-		lo = hi
-	}
-	wg.Wait()
-	if err := g.err(); err != nil {
+	// A grain of n gives each worker its whole block as one body call.
+	if err := (*Pool)(nil).static(nil, p, n, n, body); err != nil {
 		panic(err)
 	}
 }
 
 // ForDynamic runs body over [0, n) with dynamic chunk self-scheduling:
-// workers repeatedly claim the next `grain`-sized block from a shared atomic
-// cursor. Use when per-element cost is skewed (e.g. scanning vertices with
-// power-law degrees). Worker panics are contained and re-raised in the
-// caller as with For; sibling workers stop claiming chunks after a panic.
+// workers repeatedly claim the next grain-sized block from a shared cursor,
+// for per-element cost that is skewed (e.g. power-law degrees). It is the
+// nil-pool (*Pool).ForDynamicCtx without cancellation; panics re-raise as
+// in For.
 func ForDynamic(p int, n int, grain int, body func(worker, lo, hi int)) {
-	p = clampWorkers(p)
 	if n <= 0 {
 		return
 	}
-	if grain <= 0 {
-		grain = 1
-	}
-	if p == 1 {
+	if clampWorkers(p) == 1 {
 		body(0, 0, n)
 		return
 	}
-	g := newGate(nil)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer g.guard()
-			for !g.stop.Load() {
-				lo := cursor.Add(int64(grain)) - int64(grain)
-				if lo >= int64(n) {
-					return
-				}
-				hi := lo + int64(grain)
-				if hi > int64(n) {
-					hi = int64(n)
-				}
-				body(w, int(lo), int(hi))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := g.err(); err != nil {
-		panic(err)
-	}
-}
-
-// Run launches p workers executing body(worker) and waits for all of them.
-// Worker panics are contained and re-raised in the caller as with For.
-func Run(p int, body func(worker int)) {
-	p = clampWorkers(p)
-	if p == 1 {
-		body(0)
-		return
-	}
-	g := newGate(nil)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer g.guard()
-			body(w)
-		}(w)
-	}
-	wg.Wait()
-	if err := g.err(); err != nil {
+	if err := (*Pool)(nil).ForDynamicCtx(nil, p, n, grain, body); err != nil {
 		panic(err)
 	}
 }
@@ -144,7 +63,7 @@ const cacheLine = 64
 
 // Counter is a set of per-worker int64 cells padded to separate cache lines.
 // Hot loops increment their own cell without synchronization; Sum is called
-// after the parallel section (synchronized by the fork/join of For/Run).
+// after the parallel section (synchronized by the region's fork/join).
 type Counter struct {
 	cells []paddedInt64
 }

@@ -85,29 +85,10 @@ func TestForDefaultWorkers(t *testing.T) {
 	}
 }
 
-func TestRun(t *testing.T) {
-	var count atomic.Int32
-	Run(7, func(w int) {
-		if w < 0 || w >= 7 {
-			t.Errorf("worker id %d", w)
-		}
-		count.Add(1)
-	})
-	if count.Load() != 7 {
-		t.Fatalf("ran %d workers, want 7", count.Load())
-	}
-	// Serial path.
-	count.Store(0)
-	Run(1, func(int) { count.Add(1) })
-	if count.Load() != 1 {
-		t.Fatalf("serial Run ran %d times", count.Load())
-	}
-}
-
 func TestCounter(t *testing.T) {
 	p := 8
 	c := NewCounter(p)
-	Run(p, func(w int) {
+	For(p, p, func(w, _, _ int) {
 		for i := 0; i < 1000; i++ {
 			c.Add(w, 1)
 		}

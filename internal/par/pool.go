@@ -6,65 +6,29 @@ import (
 	"sync/atomic"
 )
 
-// Scheduler abstracts where the workers of a parallel region come from. The
-// package-level ForCtx/ForDynamicCtx spawn fresh goroutines per call — the
-// right default for a single run that owns the machine. A Pool implements the
-// same contract over a fixed set of resident workers shared by many
-// concurrent runs, which is what a server needs: total parallelism stays
-// bounded at the pool size no matter how many requests are in flight, instead
-// of every request fanning out GOMAXPROCS goroutines of its own.
-//
-// Both methods keep the ForCtx/ForDynamicCtx contract exactly: body is
-// invoked with a region-local worker id in [0, p), every invocation of a
-// given id is sequential, bodies are never interrupted mid-block, and the
-// return value is nil on completion, the context's error on cancellation, or
-// a *PanicError for a contained worker panic.
-type Scheduler interface {
-	ForCtx(ctx context.Context, p, n int, body func(worker, lo, hi int)) error
-	ForDynamicCtx(ctx context.Context, p, n, grain int, body func(worker, lo, hi int)) error
-}
-
-// spawnScheduler is the default Scheduler: per-call goroutine fan-out via the
-// package-level primitives.
-type spawnScheduler struct{}
-
-func (spawnScheduler) ForCtx(ctx context.Context, p, n int, body func(worker, lo, hi int)) error {
-	return ForCtx(ctx, p, n, body)
-}
-
-func (spawnScheduler) ForDynamicCtx(ctx context.Context, p, n, grain int, body func(worker, lo, hi int)) error {
-	return ForDynamicCtx(ctx, p, n, grain, body)
-}
-
-// SchedulerOrSpawn returns s, or the default goroutine-spawning scheduler
-// when s is nil — the seam every engine routes its parallel regions through.
-func SchedulerOrSpawn(s Scheduler) Scheduler {
-	if s == nil {
-		return spawnScheduler{}
-	}
-	return s
-}
-
-// Pool is a Scheduler backed by a fixed set of resident worker goroutines.
+// Pool runs parallel regions on a fixed set of resident worker goroutines.
 // Regions submitted by concurrent callers interleave on the same workers, so
 // a process serving many simultaneous runs keeps its total compute
 // parallelism at the pool size instead of multiplying it per request.
 //
+// A nil *Pool is valid and spawns instead: each slice of a region runs on
+// its own goroutine while the caller waits — the right default for a single
+// run that owns the machine. Either way body gets a region-local worker id in
+// [0, pp), calls for one id are sequential, blocks are never interrupted, and
+// the result is nil, the context's error, or a *PanicError.
+//
 // Deadlock freedom: a region never *requires* a pool worker. The caller runs
 // one slice of every region inline; a slice that cannot be enqueued (pool
-// saturated or closed) runs inline on the caller; and once the caller
-// finishes its own slice it steals back any of its slices the pool has not
-// started yet (each slice carries a claim flag, so pool and caller race for
-// it with a CAS and exactly one side runs it). A region therefore only ever
-// waits on slices that are actively executing on a resident worker. Under
-// overload execution degrades toward serial on the submitting goroutine —
-// graceful degradation rather than queue collapse — and a closed or wedged
-// pool still completes every region handed to it. This only works because
-// region slices are independent (the ForCtx/ForDynamicCtx contract): a slice
-// never blocks waiting for a sibling slice.
+// saturated or closed) runs inline too; and once the caller finishes its own
+// slice it steals back every slice no worker has started (pool and caller
+// race for each slice with a CAS and exactly one side runs it). A region
+// therefore only waits on slices actively executing on a resident worker, so
+// overload degrades toward serial execution on the submitter and a closed or
+// wedged pool still completes every region. This relies on slices being
+// independent: a slice never waits for a sibling.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *poolTask
 	stop    chan struct{} // closed by Close after the closed flag is set
 	wg      sync.WaitGroup
 
@@ -84,7 +48,7 @@ func NewPool(workers int) *Pool {
 		workers: workers,
 		// The buffer absorbs a burst of region slices without blocking
 		// submitters; beyond it, slices run inline on their caller.
-		tasks: make(chan func(), 4*workers),
+		tasks: make(chan *poolTask, 4*workers),
 		stop:  make(chan struct{}),
 	}
 	p.wg.Add(workers)
@@ -100,7 +64,7 @@ func (p *Pool) worker() {
 		select {
 		case t := <-p.tasks:
 			p.queued.Add(-1)
-			t()
+			t.exec()
 		case <-p.stop:
 			// Drain tasks enqueued before Close flipped the flag; no new
 			// sends can arrive (submit checks closed under the lock).
@@ -108,7 +72,7 @@ func (p *Pool) worker() {
 				select {
 				case t := <-p.tasks:
 					p.queued.Add(-1)
-					t()
+					t.exec()
 				default:
 					return
 				}
@@ -140,19 +104,130 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// poolTask is one region slice handed to the pool. The claim flag arbitrates
-// the race between a resident worker picking it off the queue and the
-// submitting caller stealing it back: exactly one side wins the CAS and runs
-// it, the other skips.
-type poolTask struct {
-	claimed atomic.Bool
-	run     func()
+// ForCtx runs body over [0, n) split into pp contiguous, near-equal slices
+// (static scheduling), one per worker id, each executed in blocks of at most
+// ctxGrain iterations. Workers poll ctx between blocks and stop claiming new
+// blocks once it expires or a sibling panics; any invariant that holds at
+// body boundaries holds when ForCtx returns. A nil ctx is never cancelled.
+func (p *Pool) ForCtx(ctx context.Context, pp, n int, body func(worker, lo, hi int)) error {
+	return p.static(ctx, pp, n, ctxGrain, body)
 }
 
-// exec runs the task if this call wins the claim.
+// static is ForCtx with the block size as a parameter: For passes n, so each
+// slice is a single body call.
+func (p *Pool) static(ctx context.Context, pp, n, grain int, body func(worker, lo, hi int)) error {
+	if n <= 0 {
+		return nil
+	}
+	pp = min(clampWorkers(pp), n)
+	if pp == 1 {
+		return serial(ctx, n, grain, body)
+	}
+	r := &region{ctx: ctx, body: body, n: n, slices: pp, grain: grain}
+	p.run(r, (*region).staticSlice)
+	return r.err()
+}
+
+// ForDynamicCtx runs body over [0, n) with dynamic chunk self-scheduling:
+// pp workers repeatedly claim the next grain-sized block from a shared
+// cursor. Use it when per-element cost is skewed (e.g. scanning vertices
+// with power-law degrees). The gate is checked before every claim, and an
+// in-flight block always completes, as in ForCtx.
+func (p *Pool) ForDynamicCtx(ctx context.Context, pp, n, grain int, body func(worker, lo, hi int)) error {
+	if n <= 0 {
+		return nil
+	}
+	grain = max(grain, 1)
+	if pp = clampWorkers(pp); pp == 1 {
+		return serial(ctx, n, grain, body)
+	}
+	r := &region{ctx: ctx, body: body, n: n, slices: pp, grain: grain}
+	p.run(r, (*region).dynamicSlice)
+	return r.err()
+}
+
+// serial runs a one-worker region on the caller's goroutine, with the same
+// blocking, cancellation and panic containment as a parallel one and no
+// heap allocation of its own.
+func serial(ctx context.Context, n, grain int, body func(worker, lo, hi int)) error {
+	r := region{ctx: ctx, body: body, grain: grain}
+	r.blocks(0, 0, n)
+	return r.err()
+}
+
+// staticSlice runs slice w of a static region: the w-th of r.slices
+// contiguous blocks, the first n%slices of them one element longer.
+func (r *region) staticSlice(w int) {
+	chunk, rem := r.n/r.slices, r.n%r.slices
+	lo := w*chunk + min(w, rem)
+	hi := lo + chunk
+	if w < rem {
+		hi++
+	}
+	r.blocks(w, lo, hi)
+}
+
+// dynamicSlice runs slice w of a dynamic region: it claims grain-sized
+// blocks from the shared cursor until the range is exhausted or the gate
+// stops the region.
+func (r *region) dynamicSlice(w int) {
+	defer r.guard()
+	grain, n := int64(r.grain), int64(r.n)
+	for !r.stopped() {
+		lo := r.cursor.Add(grain) - grain
+		if lo >= n {
+			return
+		}
+		r.body(w, int(lo), int(min(lo+grain, n)))
+	}
+}
+
+// run executes every slice of r and returns once all have finished: on
+// fresh goroutines for a nil pool, else caller-runs plus steal-back (see
+// Pool).
+func (p *Pool) run(r *region, slice func(*region, int)) {
+	if p == nil {
+		r.wg.Add(r.slices)
+		for w := 0; w < r.slices; w++ {
+			go func(w int) {
+				defer r.wg.Done()
+				slice(r, w)
+			}(w)
+		}
+		r.wg.Wait()
+		return
+	}
+	submitted := make([]*poolTask, 0, r.slices-1)
+	for w := 0; w < r.slices-1; w++ {
+		t := &poolTask{r: r, slice: slice, w: w}
+		r.wg.Add(1)
+		if p.submit(t) {
+			submitted = append(submitted, t)
+		} else {
+			t.exec() // saturated or closed: degrade to inline execution
+		}
+	}
+	slice(r, r.slices-1)
+	for _, t := range submitted {
+		t.exec()
+	}
+	r.wg.Wait()
+}
+
+// poolTask is one region slice handed to the pool; the claim flag decides
+// whether a resident worker or the stealing caller runs it.
+type poolTask struct {
+	claimed atomic.Bool
+	r       *region
+	slice   func(*region, int)
+	w       int
+}
+
+// exec runs the task's slice if this call wins the claim.
 func (t *poolTask) exec() {
 	if t.claimed.CompareAndSwap(false, true) {
-		t.run()
+		defer t.r.wg.Done()
+		t.slice(t.r, t.w)
 	}
 }
 
@@ -165,123 +240,10 @@ func (p *Pool) submit(t *poolTask) bool {
 		return false
 	}
 	select {
-	case p.tasks <- t.exec:
+	case p.tasks <- t:
 		p.queued.Add(1)
 		return true
 	default:
 		return false
 	}
-}
-
-// region tracks the slices a ForCtx/ForDynamicCtx call handed to the pool so
-// the caller can steal back the unstarted ones.
-type region struct {
-	wg        sync.WaitGroup
-	submitted []*poolTask
-}
-
-// launch wraps run in a poolTask and either enqueues it or executes it
-// inline when the pool will not take it.
-func (r *region) launch(p *Pool, run func()) {
-	r.wg.Add(1)
-	t := &poolTask{run: func() {
-		defer r.wg.Done()
-		run()
-	}}
-	if p.submit(t) {
-		r.submitted = append(r.submitted, t)
-		return
-	}
-	t.exec() // saturated or closed: degrade to inline execution
-}
-
-// finish steals back every slice the pool has not started (the WaitGroup
-// entries of stolen slices are released by exec) and then waits for the
-// slices a resident worker did start. After finish, the region only ever
-// waited on slices that were actively running.
-func (r *region) finish() {
-	for _, t := range r.submitted {
-		t.exec()
-	}
-	r.wg.Wait()
-}
-
-// ForCtx implements Scheduler over the resident workers with the same
-// static contiguous-block split as the package-level ForCtx. The caller's
-// goroutine always executes the last slice itself, then steals back any
-// unstarted sibling slices.
-func (p *Pool) ForCtx(ctx context.Context, pp, n int, body func(worker, lo, hi int)) error {
-	pp = clampWorkers(pp)
-	if n <= 0 {
-		return nil
-	}
-	if pp > n {
-		pp = n
-	}
-	g := newGate(ctx)
-	if pp == 1 {
-		runBlocked(g, 0, 0, n, ctxGrain, body)
-		return g.err()
-	}
-	r := &region{submitted: make([]*poolTask, 0, pp-1)}
-	chunk := n / pp
-	rem := n % pp
-	lo := 0
-	last := 0
-	for w := 0; w < pp; w++ {
-		hi := lo + chunk
-		if w < rem {
-			hi++
-		}
-		if w == pp-1 {
-			last = lo
-			break
-		}
-		sw, slo, shi := w, lo, hi
-		r.launch(p, func() { runBlocked(g, sw, slo, shi, ctxGrain, body) })
-		lo = hi
-	}
-	// Caller-runs slice: guarantees region progress even when every
-	// resident worker is busy with other regions.
-	runBlocked(g, pp-1, last, n, ctxGrain, body)
-	r.finish()
-	return g.err()
-}
-
-// ForDynamicCtx implements Scheduler with dynamic chunk self-scheduling over
-// the resident workers; slices claim chunks from a shared cursor exactly like
-// the package-level ForDynamicCtx.
-func (p *Pool) ForDynamicCtx(ctx context.Context, pp, n, grain int, body func(worker, lo, hi int)) error {
-	pp = clampWorkers(pp)
-	if n <= 0 {
-		return nil
-	}
-	if grain <= 0 {
-		grain = 1
-	}
-	g := newGate(ctx)
-	if pp == 1 {
-		runBlocked(g, 0, 0, n, grain, body)
-		return g.err()
-	}
-	cursor := new(atomic.Int64)
-	claim := func(w int) {
-		defer g.guard()
-		for !g.stopped() {
-			lo := cursor.Add(int64(grain)) - int64(grain)
-			if lo >= int64(n) {
-				return
-			}
-			hi := min(lo+int64(grain), int64(n))
-			body(w, int(lo), int(hi))
-		}
-	}
-	r := &region{submitted: make([]*poolTask, 0, pp-1)}
-	for w := 0; w < pp-1; w++ {
-		w := w
-		r.launch(p, func() { claim(w) })
-	}
-	claim(pp - 1) // caller-runs slice
-	r.finish()
-	return g.err()
 }

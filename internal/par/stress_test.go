@@ -105,7 +105,7 @@ func TestStressForCtxExactlyOnce(t *testing.T) {
 	)
 	for _, seed := range stressSeeds {
 		m := newMarkOnce(n)
-		err := ForCtx(context.Background(), p, n, func(w, lo, hi int) {
+		err := (*Pool)(nil).ForCtx(context.Background(), p, n, func(w, lo, hi int) {
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := lo; i < hi; i++ {
 				m.hit(t, i)
@@ -132,7 +132,7 @@ func TestStressForCtxCancelMidRun(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		marks := make([]atomic.Int32, n)
 		var done atomic.Int64
-		err := ForCtx(ctx, p, n, func(w, lo, hi int) {
+		err := (*Pool)(nil).ForCtx(ctx, p, n, func(w, lo, hi int) {
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := lo; i < hi; i++ {
 				if marks[i].Add(1) != 1 {
@@ -167,7 +167,7 @@ func TestStressForDynamicCtxCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		marks := make([]atomic.Int32, n)
 		var done atomic.Int64
-		err := ForDynamicCtx(ctx, p, n, grain, func(w, lo, hi int) {
+		err := (*Pool)(nil).ForDynamicCtx(ctx, p, n, grain, func(w, lo, hi int) {
 			rng := rand.New(rand.NewSource(seed ^ int64(lo)))
 			for i := lo; i < hi; i++ {
 				if marks[i].Add(1) != 1 {
@@ -189,42 +189,6 @@ func TestStressForDynamicCtxCancel(t *testing.T) {
 	}
 }
 
-// TestStressRunCtxWorkersExactlyOnce checks RunCtx launches each worker id
-// exactly once and Counter totals survive the perturbed interleaving.
-func TestStressRunCtxWorkersExactlyOnce(t *testing.T) {
-	const (
-		p      = 8
-		perWkr = 10_000
-	)
-	for _, seed := range stressSeeds {
-		started := make([]atomic.Int32, p)
-		c := NewCounter(p)
-		err := RunCtx(context.Background(), p, func(w int) {
-			if started[w].Add(1) != 1 {
-				t.Errorf("worker %d launched more than once", w)
-			}
-			rng := rand.New(rand.NewSource(seed + int64(w)))
-			for i := 0; i < perWkr; i++ {
-				c.Add(w, 1)
-				if i%256 == 0 {
-					gosched(rng)
-				}
-			}
-		})
-		if err != nil {
-			t.Fatalf("seed %d: RunCtx = %v", seed, err)
-		}
-		for w := range started {
-			if got := started[w].Load(); got != 1 {
-				t.Errorf("seed %d: worker %d launched %d times, want 1", seed, w, got)
-			}
-		}
-		if got := c.Sum(); got != p*perWkr {
-			t.Errorf("seed %d: Counter.Sum() = %d, want %d", seed, got, p*perWkr)
-		}
-	}
-}
-
 // TestStressPanicContainment panics in one worker per seed and verifies the
 // sibling drain logic under perturbation: the panic surfaces as *PanicError
 // and no iteration runs twice even while the region is being torn down.
@@ -235,7 +199,7 @@ func TestStressPanicContainment(t *testing.T) {
 	)
 	for _, seed := range stressSeeds {
 		marks := make([]atomic.Int32, n)
-		err := ForCtx(context.Background(), p, n, func(w, lo, hi int) {
+		err := (*Pool)(nil).ForCtx(context.Background(), p, n, func(w, lo, hi int) {
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := lo; i < hi; i++ {
 				if marks[i].Add(1) != 1 {

@@ -39,10 +39,10 @@ type Options struct {
 	// goroutine at phase boundaries only; the nil default is a no-op.
 	Recorder *obs.Recorder
 
-	// Sched supplies the workers for the parallel regions. Nil means
-	// per-call goroutine fan-out; a shared *par.Pool bounds the total
+	// Pool supplies the workers for the parallel regions. Nil means
+	// per-call goroutine fan-out; a shared pool bounds the total
 	// parallelism of many concurrent runs.
-	Sched par.Scheduler
+	Pool *par.Pool
 }
 
 // Run computes a maximum cardinality matching with the fair Pothen–Fan
@@ -72,7 +72,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 	if p <= 0 {
 		p = par.DefaultWorkers()
 	}
-	sched := par.SchedulerOrSpawn(opts.Sched)
+	pool := opts.Pool
 	stats := &matching.Stats{Algorithm: "PF", Threads: p}
 	stats.InitialCardinality = m.Cardinality()
 	start := time.Now()
@@ -133,12 +133,12 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		if len(roots) == 0 {
 			break
 		}
-		if err = sched.ForCtx(ctx, p, ny, clearVisited); err != nil {
+		if err = pool.ForCtx(ctx, p, ny, clearVisited); err != nil {
 			break
 		}
 
 		before := paths.Sum()
-		if err = sched.ForDynamicCtx(ctx, p, len(roots), 1, searchRoots); err != nil {
+		if err = pool.ForDynamicCtx(ctx, p, len(roots), 1, searchRoots); err != nil {
 			break
 		}
 		stats.Phases++

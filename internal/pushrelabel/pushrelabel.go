@@ -53,10 +53,10 @@ type Options struct {
 	// default is a no-op.
 	Recorder *obs.Recorder
 
-	// Sched supplies the workers for the parallel push rounds. Nil means
-	// per-call goroutine fan-out; a shared *par.Pool bounds the total
+	// Pool supplies the workers for the parallel push rounds. Nil means
+	// per-call goroutine fan-out; a shared pool bounds the total
 	// parallelism of many concurrent runs.
-	Sched par.Scheduler
+	Pool *par.Pool
 }
 
 // Defaults fills unset fields with the paper's parameters.
@@ -107,8 +107,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 	stats.InitialCardinality = m.Cardinality()
 	start := time.Now()
 
-	e := &prState{g: g, m: m, opts: opts, ctx: ctx, stats: stats,
-		sched: par.SchedulerOrSpawn(opts.Sched)}
+	e := &prState{g: g, m: m, opts: opts, ctx: ctx, stats: stats}
 	e.rec = opts.Recorder
 	e.mEdges = e.rec.Counter("graftmatch_pr_edges_traversed_total", "edges examined by PR scans and global relabels")
 	e.mPushes = e.rec.Counter("graftmatch_pr_double_pushes_total", "double-push operations committed")
@@ -133,10 +132,6 @@ type prState struct {
 	opts Options
 	ctx  context.Context
 	err  error
-
-	// sched supplies the workers of the push rounds (never nil; the
-	// spawn-per-call default when Options.Sched is unset).
-	sched par.Scheduler
 
 	dX, dY []int32
 	limit  int32 // labels at or above limit mean "cannot reach a free Y"
@@ -379,7 +374,7 @@ func (e *prState) runParallel() {
 		for w := range nextLocal {
 			nextLocal[w] = nextLocal[w][:0]
 		}
-		if e.err = e.sched.ForDynamicCtx(e.ctx, p, len(e.active), grain, pushRound); e.err != nil {
+		if e.err = e.opts.Pool.ForDynamicCtx(e.ctx, p, len(e.active), grain, pushRound); e.err != nil {
 			break
 		}
 

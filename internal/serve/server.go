@@ -458,7 +458,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // and the shared pool, and folds the outcome into the last-good floor.
 func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline time.Time) (*graftmatch.Result, error) {
 	opts := req.Options()
-	opts.Scheduler = s.pool
+	opts.Pool = s.pool
 	// The traced view stamps the request's trace id on every engine phase
 	// span, tying the computation on /trace back to this X-Request-Id.
 	opts.Recorder = s.rec.WithTrace(traceOf(reqFromCtx(ctx)))

@@ -38,7 +38,7 @@ func TestMatchWithSharedWorkerPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v spawn: %v", alg, err)
 		}
-		res, err := graftmatch.Match(g, graftmatch.Options{Algorithm: alg, Threads: 4, Scheduler: pool})
+		res, err := graftmatch.Match(g, graftmatch.Options{Algorithm: alg, Threads: 4, Pool: pool})
 		if err != nil {
 			t.Fatalf("%v pooled: %v", alg, err)
 		}
@@ -68,7 +68,7 @@ func TestConcurrentMatchesShareOnePool(t *testing.T) {
 			res, err := graftmatch.Match(g, graftmatch.Options{
 				Algorithm: graftmatch.MSBFSGraft,
 				Threads:   4,
-				Scheduler: pool,
+				Pool:      pool,
 			})
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)
