@@ -46,7 +46,7 @@ func registerDistFlags(fs *flag.FlagSet) *distFlags {
 	fs.BoolVar(&df.respawn, "dist-respawn", true, "coordinator respawns a replacement subprocess when a rank dies")
 	fs.DurationVar(&df.hb, "dist-hb", 0, "heartbeat interval for failure detection (0 = 500ms)")
 	fs.DurationVar(&df.lease, "dist-lease", 0, "silence after which a peer is declared dead (0 = 8x heartbeat)")
-	fs.StringVar(&df.chaos, "dist-chaos", "", "worker-side fault injection, e.g. drop=0.05,dup=0.05,latency=2ms,jitter=3ms,seed=7")
+	fs.StringVar(&df.chaos, "dist-chaos", "", "worker-side fault injection, e.g. latency=2ms,jitter=3ms,seed=7")
 	return df
 }
 
@@ -81,7 +81,7 @@ func runDist(cfg distRunConfig) error {
 }
 
 // parseChaosSpec parses the -dist-chaos value: comma-separated key=value
-// pairs with keys drop, dup, latency, jitter, seed.
+// pairs with keys latency, jitter, seed.
 func parseChaosSpec(s string) (distnet.Chaos, error) {
 	var ch distnet.Chaos
 	for _, kv := range strings.Split(s, ",") {
@@ -95,10 +95,6 @@ func parseChaosSpec(s string) (distnet.Chaos, error) {
 		}
 		var err error
 		switch k {
-		case "drop":
-			ch.Drop, err = strconv.ParseFloat(v, 64)
-		case "dup":
-			ch.Duplicate, err = strconv.ParseFloat(v, 64)
 		case "latency":
 			ch.Latency, err = time.ParseDuration(v)
 		case "jitter":
@@ -106,14 +102,14 @@ func parseChaosSpec(s string) (distnet.Chaos, error) {
 		case "seed":
 			ch.Seed, err = strconv.ParseInt(v, 10, 64)
 		default:
-			return ch, fmt.Errorf("chaos spec: unknown key %q (want drop, dup, latency, jitter, seed)", k)
+			return ch, fmt.Errorf("chaos spec: unknown key %q (want latency, jitter, seed)", k)
 		}
 		if err != nil {
 			return ch, fmt.Errorf("chaos spec %q: %v", kv, err)
 		}
 	}
-	if ch.Drop < 0 || ch.Drop >= 1 || ch.Duplicate < 0 || ch.Duplicate >= 1 {
-		return ch, fmt.Errorf("chaos spec: drop and dup must be in [0,1)")
+	if ch.Latency < 0 || ch.Jitter < 0 {
+		return ch, fmt.Errorf("chaos spec: latency and jitter must not be negative")
 	}
 	return ch, nil
 }
@@ -302,8 +298,8 @@ func runDistCoordinator(cfg distRunConfig) error {
 	}
 	m := matching.New(g.NX(), g.NY())
 	st, runErr := coord.Run(ctx, m)
-	// Close before reaping so worker sessions see the teardown even on the
-	// error path; a clean run already broadcast done.
+	// Close before reaping so worker connections see the teardown even on
+	// the error path; a clean run already broadcast done.
 	_ = coord.Close()
 	spawner.shutdown(5 * time.Second)
 	if runErr != nil {
@@ -325,9 +321,8 @@ func runDistCoordinator(cfg distRunConfig) error {
 		if st.Grafts+st.Rebuilds > 0 {
 			fmt.Printf("grafted phases: %d, rebuilt phases: %d\n", st.Grafts, st.Rebuilds)
 		}
-		fmt.Printf("rank deaths: %d, recoveries: %d (%.0fms), reconnects: %d\n",
-			st.RankDeaths, st.Recoveries, float64(st.RecoveryTime.Nanoseconds())/1e6, st.Reconnects)
-		fmt.Printf("session retransmits: %d, attaches: %d\n", st.Retransmits, st.Attaches)
+		fmt.Printf("rank deaths: %d, recoveries: %d (%.0fms), attaches: %d\n",
+			st.RankDeaths, st.Recoveries, float64(st.RecoveryTime.Nanoseconds())/1e6, st.Attaches)
 	}
 	if cfg.verify {
 		if err := graftmatch.VerifyMaximum(g, m.MateX, m.MateY); err != nil {

@@ -22,15 +22,16 @@ import (
 )
 
 func TestParseChaosSpec(t *testing.T) {
-	ch, err := parseChaosSpec("drop=0.05,dup=0.1,latency=2ms,jitter=3ms,seed=7")
+	ch, err := parseChaosSpec("latency=2ms,jitter=3ms,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Drop != 0.05 || ch.Duplicate != 0.1 || ch.Latency != 2*time.Millisecond ||
-		ch.Jitter != 3*time.Millisecond || ch.Seed != 7 {
+	if ch.Latency != 2*time.Millisecond || ch.Jitter != 3*time.Millisecond || ch.Seed != 7 {
 		t.Fatalf("parsed %+v", ch)
 	}
-	for _, bad := range []string{"drop", "rate=0.1", "drop=x", "drop=1.5", "dup=-0.1"} {
+	// A stream socket never loses or repeats a frame, so drop and dup are
+	// not keys.
+	for _, bad := range []string{"latency", "rate=0.1", "latency=x", "jitter=-1ms", "seed=x", "drop=0.05", "dup=0.05"} {
 		if _, err := parseChaosSpec(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
 		}
@@ -41,7 +42,7 @@ func TestDistFlagValidation(t *testing.T) {
 	path := writeTestMatrix(t)
 	cases := [][]string{
 		{"-dist-listen", "127.0.0.1:0", "-dist-join", "127.0.0.1:1", path}, // both roles
-		{"-dist-listen", "127.0.0.1:0", path},                             // no -dist-ranks
+		{"-dist-listen", "127.0.0.1:0", path},                              // no -dist-ranks
 		{"-dist-listen", "127.0.0.1:0", "-dist-ranks", "2", "-json", path},
 		{"-dist-join", "127.0.0.1:1", "-dist-chaos", "bogus", path},
 	}
@@ -73,7 +74,7 @@ func TestDistCLIUnixSocket(t *testing.T) {
 	launch([]string{"-dist-listen", sock, "-dist-ranks", "2", "-dist-respawn=false",
 		"-dist-hb", "50ms", "-verify", "-stats", "-out", out, path})
 	launch([]string{"-dist-join", sock, path})
-	launch([]string{"-dist-join", sock, "-dist-chaos", "drop=0.02,dup=0.02,latency=1ms,seed=3", path})
+	launch([]string{"-dist-join", sock, "-dist-chaos", "latency=1ms,jitter=1ms,seed=3", path})
 	wg.Wait()
 	close(errs)
 	for err := range errs {

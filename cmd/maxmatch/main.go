@@ -18,13 +18,15 @@
 // and each rank is a worker (spawned automatically with -dist-spawn, or
 // launched by hand or an external supervisor):
 //
-//	maxmatch -dist-join host:9000 [-dist-rank N] [-dist-chaos drop=0.05,latency=2ms] file.mtx
+//	maxmatch -dist-join host:9000 [-dist-rank N] [-dist-chaos latency=2ms,jitter=3ms] file.mtx
 //
 // Every process loads the same graph file; the handshake cross-checks graph
-// fingerprints. The coordinator detects dead ranks by heartbeat lease,
-// respawns replacements (-dist-respawn, default on), and resumes from the
-// last phase-boundary checkpoint of the matching — with -checkpoint-dir the
-// phase snapshots also persist to disk and survive coordinator restarts.
+// fingerprints. The coordinator detects dead ranks by a lost connection or
+// an expired heartbeat lease, respawns replacements (-dist-respawn, default
+// on), and resumes from the last phase-boundary checkpoint of the matching —
+// with -checkpoint-dir the phase snapshots also persist to disk and survive
+// coordinator restarts. A worker whose connection drops exits; without
+// -dist-respawn, restart it within 30s to rejoin the run.
 //
 // With -checkpoint-dir the run persists crash-safe snapshots of its state at
 // phase boundaries; -resume restarts from the newest valid snapshot for the

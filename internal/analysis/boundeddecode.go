@@ -227,7 +227,7 @@ func isBuiltinMake(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // isWireSource classifies the calls whose results (and filled slice
-// arguments) carry attacker-controlled bytes: session receives and framed
+// arguments) carry attacker-controlled bytes: frame receives and framed
 // reads. Read/read prefixes match by name alone (os.ReadFile and io.ReadFull
 // are as untrusted as a socket read); the bare name Recv is only a source on
 // module-local or unresolvable callees, so foreign API methods that happen

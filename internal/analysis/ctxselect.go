@@ -175,8 +175,8 @@ func commRecvChan(comm ast.Stmt) ast.Expr {
 }
 
 // doneLike reports whether e's static type is a struct{}-element channel —
-// the shape of every cancellation signal in the module (ctx.Done(), session
-// close channels, detach notifications).
+// the shape of every cancellation signal in the module (ctx.Done(), close
+// channels, a pump's exit signal).
 func doneLike(info *types.Info, e ast.Expr) bool {
 	ch := chanType(info, e)
 	if ch == nil {

@@ -13,7 +13,7 @@ import (
 // manages that deadline's lifecycle — and then every CFG path out of the
 // function, error exits included, must leave the deadline disarmed or the
 // connection closed. Arming on one path and forgetting the disarm on
-// another is how a handshake deadline survives into the session and fires
+// another is how a handshake deadline survives past the handshake and fires
 // mid-run.
 //
 // Functions that only arm are the per-frame I/O pattern (each call re-arms

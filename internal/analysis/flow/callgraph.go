@@ -9,10 +9,10 @@ import (
 // literal, paired with the type info of its package.
 type Func struct {
 	Info *types.Info
-	Node ast.Node        // *ast.FuncDecl or *ast.FuncLit
-	Body *ast.BlockStmt  // non-nil
-	Obj  *types.Func     // declared object; nil for literals
-	Name string          // qualified diagnostic label ("pkg.Recv.Method" or "pkg.func@line")
+	Node ast.Node       // *ast.FuncDecl or *ast.FuncLit
+	Body *ast.BlockStmt // non-nil
+	Obj  *types.Func    // declared object; nil for literals
+	Name string         // qualified diagnostic label ("pkg.Recv.Method" or "pkg.func@line")
 
 	cfg *Graph
 }

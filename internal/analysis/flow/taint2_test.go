@@ -105,17 +105,17 @@ func twin() ([]byte, []byte) { return src(), nil }`
 		name string
 		want bool
 	}{
-		{"a", true},    // direct source
-		{"m", true},    // tuple via summary (inherent)
-		{"buf", true},  // filled slice arg of a source
-		{"q", true},    // field read off tainted composite
-		{"r", true},    // flow-through summary (fromParam)
-		{"s", true},    // reslice of tainted
-		{"w", true},    // builtin over tainted operand
-		{"x", true},    // append spread of tainted
-		{"y", false},   // clean callee summary
-		{"z", true},    // recursive callee: conservative any-arg rule
-		{"nb", true},   // named-result bare return summary
+		{"a", true},   // direct source
+		{"m", true},   // tuple via summary (inherent)
+		{"buf", true}, // filled slice arg of a source
+		{"q", true},   // field read off tainted composite
+		{"r", true},   // flow-through summary (fromParam)
+		{"s", true},   // reslice of tainted
+		{"w", true},   // builtin over tainted operand
+		{"x", true},   // append spread of tainted
+		{"y", false},  // clean callee summary
+		{"z", true},   // recursive callee: conservative any-arg rule
+		{"nb", true},  // named-result bare return summary
 	} {
 		if got := tainted(want.name); got != want.want {
 			t.Errorf("%s: tainted=%v, want %v", want.name, got, want.want)
@@ -157,10 +157,10 @@ func f() {
 			t.Errorf("%s: tainted=%v, want %v", name, got, want)
 		}
 	}
-	check("a", false)  // strong update untaints
-	check("pk", true)  // weak field write taints base
-	check("c", true)   // weak index write taints base
-	check("dd", true)  // type assertion carries taint
+	check("a", false) // strong update untaints
+	check("pk", true) // weak field write taints base
+	check("c", true)  // weak index write taints base
+	check("dd", true) // type assertion carries taint
 }
 
 func TestExprPosFallback(t *testing.T) {

@@ -14,12 +14,12 @@ func observe(v any) { _ = v }
 // LoopAllocs must be diagnosed once per allocating construct in the loop.
 func LoopAllocs(n int) {
 	for i := 0; i < n; i++ {
-		buf := make([]int, 8)       // make in hot loop
-		pair := []int{i, i + 1}     // slice literal
-		idx := map[int]int{i: i}    // map literal
-		box := &struct{ v int }{i}  // pointer literal
-		local := []int{}            // declared in region...
-		local = append(local, i)    // ...so append reallocates every pass
+		buf := make([]int, 8)      // make in hot loop
+		pair := []int{i, i + 1}    // slice literal
+		idx := map[int]int{i: i}   // map literal
+		box := &struct{ v int }{i} // pointer literal
+		local := []int{}           // declared in region...
+		local = append(local, i)   // ...so append reallocates every pass
 		total += buf[0] + pair[0] + idx[i] + box.v + len(local)
 	}
 }

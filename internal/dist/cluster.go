@@ -62,12 +62,9 @@ type ClusterOptions struct {
 	// Limits bounds inbound frames; the zero value uses the package default.
 	Limits distnet.Limits
 
-	// RTO tunes the session retransmit schedule.
-	RTO distnet.BackoffConfig
-
 	// Recorder, when non-nil, receives superstep/message counters plus the
-	// cluster health metrics (reconnects, rank deaths, recoveries, recovery
-	// duration). Per-rank where the counter supports slots.
+	// cluster health metrics (rank deaths, recoveries, recovery duration).
+	// Per-rank where the counter supports slots.
 	Recorder *obs.Recorder
 
 	// OnPhase, when non-nil, runs on the driver goroutine after every phase
@@ -112,40 +109,42 @@ type ClusterStats struct {
 	// propagated to every rank in the Welcome; all shipped spans carry it.
 	Trace string
 
-	// Reconnects counts session re-attaches of a live incarnation (network
-	// blips); RankDeaths counts workers declared dead; Recoveries counts
-	// epoch rollbacks that followed; RecoveryTime is their summed duration
-	// from death declaration to restarted phase loop.
-	Reconnects   int64
+	// RankDeaths counts workers declared dead (a lost connection, an
+	// expired lease, or an abort); Recoveries counts epoch rollbacks that
+	// followed; RecoveryTime is their summed duration from death
+	// declaration to restarted phase loop.
 	RankDeaths   int64
 	Recoveries   int64
 	RecoveryTime time.Duration
 
-	// Retransmits and Attaches aggregate the per-rank session counters.
+	// Attaches counts connections accepted into a rank: K for a fault-free
+	// run, plus one per replacement.
+	Attaches int64
+
+	// Deprecated: a lost connection is a rank death, recovered by epoch
+	// rollback; nothing reconnects. Always zero.
+	Reconnects int64
+
+	// Deprecated: frames ride the stream socket directly; nothing
+	// retransmits. Always zero.
 	Retransmits int64
-	Attaches    int64
 }
 
 // slot is the coordinator's view of one rank: whichever worker incarnation
-// currently owns it, its reliable session, and the decoded responses.
+// currently owns it — one incarnation is one connection — and the decoded
+// responses.
 type slot struct {
 	rank int
 
-	mu        sync.Mutex
-	sess      *distnet.Session
-	nonce     uint64 // current incarnation; 0 when the slot is vacant
-	deadNonce uint64 // last incarnation declared dead; its Hellos are refused
-	alive     bool
-	failed    atomic.Bool // worker sent fAbort: dead regardless of heartbeats
+	mu     sync.Mutex
+	conn   *distnet.Conn // current incarnation; nil while the slot is vacant
+	pumped chan struct{} // closed when the current incarnation's pump exits
+	failed atomic.Bool   // current connection broke, or carried an abort or garbage
 
 	// frames carries decoded StepDone frames from the pump to the driver.
 	// Capacity covers the lockstep protocol's maximum in-flight responses
 	// plus stale leftovers across an epoch change.
 	frames chan stepDoneFrame
-
-	// retransmits/attaches accumulated from sessions this slot has closed,
-	// so Stats survive incarnation turnover.
-	closedRetrans, closedAttach int64
 
 	// Telemetry state under its own mutex: the pump goroutine writes it per
 	// fTelemetry frame, the /cluster exporter reads it at phase boundaries —
@@ -159,21 +158,30 @@ type slot struct {
 	stepLatMax int64 // max shipped step duration, ns
 }
 
-// foldClosedLocked accumulates a retired incarnation's session counters into
-// the slot so Stats survive turnover. Callers hold s.mu: the counters are
-// lock-guarded state shared between handshake goroutines, recovery, and the
-// stats exporter.
-func (s *slot) foldClosedLocked(sess *distnet.Session) {
-	st := sess.Stats()
-	s.closedRetrans += st.Retransmits
-	s.closedAttach += st.Attaches
+// fail marks the slot failed if conn is still its current connection. A
+// buried incarnation's conn is closed on purpose, possibly after its
+// replacement joined, and must not fail the replacement.
+func (s *slot) fail(conn *distnet.Conn) {
+	s.mu.Lock()
+	if s.conn == conn {
+		s.failed.Store(true)
+	}
+	s.mu.Unlock()
+}
+
+// attached reports whether an incarnation holds the slot.
+func (s *slot) attached() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.conn != nil
 }
 
 // Coordinator drives a multi-process distributed run: it listens for worker
 // joins, broadcasts superstep orders, routes the resulting messages, detects
-// rank failure by heartbeat silence, and recovers by respawning the rank and
-// rolling every rank back to the last phase-boundary matching. It is not
-// itself a rank — ranks 0..K-1 all live in worker processes.
+// rank failure by a lost connection or heartbeat silence, and recovers by
+// respawning the rank and rolling every rank back to the last phase-boundary
+// matching. It is not itself a rank — ranks 0..K-1 all live in worker
+// processes.
 type Coordinator struct {
 	g    *bipartite.Graph
 	part Partition
@@ -203,14 +211,12 @@ type Coordinator struct {
 	stepBuf  []byte
 	lastGood *matching.Matching
 
-	stats      ClusterStats
-	reconnects atomic.Int64 // handshake goroutines bump this; folded into stats by the driver
+	stats    ClusterStats
+	attaches atomic.Int64 // handshake goroutines bump this; folded into stats at run end
 
-	rec                                          *obs.Recorder
-	mSupersteps, mMessages, mPhases              *obs.Counter
-	mReconnects, mDeaths, mRecoveries, mRecMilli *obs.Counter
-	mRetransmits                                 *obs.Counter
-	prevRetrans                                  int64
+	rec                             *obs.Recorder
+	mSupersteps, mMessages, mPhases *obs.Counter
+	mDeaths, mRecoveries, mRecMilli *obs.Counter
 }
 
 // NewCoordinator starts listening on addr (TCP "host:port" or a unix socket
@@ -228,7 +234,7 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 		opts: opts,
 		fp:   checkpoint.GraphFingerprint(g),
 		ln:   ln,
-		mon:  distnet.NewMonitor(opts.Heartbeat, int(opts.Lease/opts.Heartbeat)),
+		mon:  distnet.NewMonitor(),
 	}
 	c.op = ops{g: g, part: c.part}
 	c.slots = make([]*slot, c.part.K)
@@ -242,11 +248,9 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 	c.mSupersteps = c.rec.Counter("graftmatch_cluster_supersteps_total", "BSP superstep rounds broadcast to the cluster")
 	c.mMessages = c.rec.Counter("graftmatch_cluster_messages_total", "point-to-point messages routed plus collective broadcast volume")
 	c.mPhases = c.rec.Counter("graftmatch_cluster_phases_total", "completed distributed search phases")
-	c.mReconnects = c.rec.Counter("graftmatch_cluster_reconnects_total", "worker session re-attaches after connection loss")
-	c.mDeaths = c.rec.Counter("graftmatch_cluster_rank_deaths_total", "workers declared dead by heartbeat silence or abort")
+	c.mDeaths = c.rec.Counter("graftmatch_cluster_rank_deaths_total", "workers declared dead by a lost connection, heartbeat silence or abort")
 	c.mRecoveries = c.rec.Counter("graftmatch_cluster_recoveries_total", "epoch rollbacks recovering a dead rank")
 	c.mRecMilli = c.rec.Counter("graftmatch_cluster_recovery_millis_total", "milliseconds spent in rank-death recovery")
-	c.mRetransmits = c.rec.Counter("graftmatch_cluster_retransmits_total", "session-layer frame retransmissions across all ranks")
 	c.wg.Add(1) //lint:ignore wg-balance acceptLoop's first deferred statement is the matching Done
 	go c.acceptLoop()
 	return c, nil
@@ -255,19 +259,18 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 // Addr is the coordinator's bound listen address — what workers dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Close tears the cluster down: listener, sessions, loops.
+// Close tears the cluster down: listener, connections, loops.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() {
 		c.lifeCancel()
 		_ = c.ln.Close()
 		for _, s := range c.slots {
 			s.mu.Lock()
-			sess := s.sess
-			s.sess = nil
-			s.alive = false
+			conn := s.conn
+			s.conn = nil
 			s.mu.Unlock()
-			if sess != nil {
-				_ = sess.Close()
+			if conn != nil {
+				_ = conn.Close()
 			}
 		}
 	})
@@ -289,8 +292,9 @@ func (c *Coordinator) acceptLoop() {
 	}
 }
 
-// handshake runs the raw Hello/Welcome exchange on a fresh connection and
-// either attaches it to a slot or refuses it with a typed Abort.
+// handshake runs the Hello/Welcome exchange on a fresh connection and either
+// attaches it to a slot as a new incarnation or refuses it with a typed
+// Abort.
 func (c *Coordinator) handshake(raw gonet.Conn) {
 	defer c.wg.Done()
 	conn := distnet.NewConn(raw, distnet.Config{
@@ -330,14 +334,13 @@ func (c *Coordinator) handshake(raw gonet.Conn) {
 	}
 	s.mu.Lock()
 	c.mu.Unlock()
-	if h.Nonce != 0 && h.Nonce == s.deadNonce {
-		// The driver declared this incarnation dead between assignment and
-		// here; its session state is unrecoverable, so it must not rejoin.
+	if c.lifeCtx.Err() != nil {
+		// Close has already swept the slots: a connection installed now
+		// would never be closed, and its pump would never exit.
 		s.mu.Unlock()
-		refuse("stale incarnation: this rank was declared dead")
+		refuse("coordinator closed")
 		return
 	}
-	reattach := s.alive && s.nonce == h.Nonce
 	if h.SentAt != 0 {
 		// Clock-offset estimate: receive time minus the worker's send stamp.
 		// One-way latency biases it by the network delay, which is orders of
@@ -364,95 +367,65 @@ func (c *Coordinator) handshake(raw gonet.Conn) {
 		return
 	}
 	conn.SetTimeouts(0, c.opts.HandshakeTimeout) //lint:ignore lock-discipline disarms socket deadlines; setter calls, no blocking I/O
-	if reattach {
-		sess := s.sess
-		s.mu.Unlock()
-		sess.Attach(conn) // replays the unacked tail
-		c.mReconnects.Add(s.rank, 1)
-		c.reconnects.Add(1)
-	} else {
-		if s.sess != nil {
-			old := s.sess
-			s.foldClosedLocked(old)
-			_ = old.Close() //lint:ignore err-checked,lock-discipline superseded incarnation's session; Close only closes a chan and a conn, it does not wait
-		}
-		sess := distnet.NewSession(distnet.SessionConfig{RTO: c.opts.RTO}) //lint:ignore lock-discipline spawns the retransmit loop and returns; nothing blocks under s.mu
-		s.sess = sess
-		s.nonce = h.Nonce
-		s.alive = true
-		s.failed.Store(false)
-		s.mu.Unlock()
-		sess.Attach(conn)
-		c.wg.Add(2)
-		go c.pump(s, sess)
-		go func() {
-			defer c.wg.Done()
-			distnet.Heartbeat(c.lifeCtx, sess, fHB, c.opts.Heartbeat)
-		}()
-	}
+	pumped := make(chan struct{})
+	s.conn = conn
+	s.pumped = pumped
+	s.failed.Store(false)
+	s.mu.Unlock()
+	c.attaches.Add(1)
 	c.mon.Touch(s.rank)
+	c.wg.Add(2)
+	go c.pump(s, conn, pumped)
+	go func() {
+		defer c.wg.Done()
+		distnet.Heartbeat(c.lifeCtx, conn, fHB, c.opts.Heartbeat)
+	}()
 }
 
 // assign picks the slot for a Hello, or explains the refusal. Called with
-// c.mu held; returns with the choice made but nothing mutated.
+// c.mu held; returns with the choice made but nothing mutated. A slot is
+// free only once the driver has buried its last incarnation: a replacement
+// must join through recovery, which rescatters every rank.
 func (c *Coordinator) assign(h helloFrame) (*slot, string) {
 	if h.Rank >= int32(len(c.slots)) {
 		return nil, fmt.Sprintf("rank %d out of range (K=%d)", h.Rank, len(c.slots))
 	}
 	if h.Rank >= 0 {
 		s := c.slots[h.Rank]
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if h.Nonce != 0 && h.Nonce == s.deadNonce {
-			return nil, "stale incarnation: this rank was declared dead"
-		}
-		if s.alive && s.nonce != h.Nonce {
+		if s.attached() {
 			return nil, "rank already held by a live worker"
 		}
 		return s, ""
 	}
-	// A retried anonymous join (lost Welcome) already holds a slot under this
-	// nonce; route it back there rather than burning a second slot.
-	if h.Nonce != 0 {
-		for _, s := range c.slots {
-			s.mu.Lock()
-			mine := s.alive && s.nonce == h.Nonce
-			s.mu.Unlock()
-			if mine {
-				return s, ""
-			}
-		}
-	}
 	for _, s := range c.slots {
-		s.mu.Lock()
-		free := !s.alive && (h.Nonce == 0 || h.Nonce != s.deadNonce)
-		s.mu.Unlock()
-		if free {
+		if !s.attached() {
 			return s, ""
 		}
 	}
 	return nil, "cluster full"
 }
 
-// pump drains one incarnation's session: heartbeats feed the failure
-// detector, StepDone frames flow to the driver, an Abort marks the rank
-// failed. Exits when the session closes (death, replacement, or shutdown).
-func (c *Coordinator) pump(s *slot, sess *distnet.Session) {
+// pump drains one incarnation's connection: heartbeats feed the failure
+// detector, StepDone frames flow to the driver. Whatever ends it — a read
+// error, an Abort, a garbled or unexpected frame — is the incarnation's
+// death, marked at once unless the slot has already moved on.
+func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 	defer c.wg.Done()
+	defer close(pumped)
+	defer s.fail(conn)
 	for {
-		m, err := sess.Recv(c.lifeCtx)
+		typ, payload, err := conn.Recv()
 		if err != nil {
 			return
 		}
 		c.mon.Touch(s.rank)
-		switch m.Type {
+		switch typ {
 		case fHB:
 			// liveness only
 		case fStepDone:
-			f, err := decodeStepDone(m.Payload, c.part.K)
+			f, err := decodeStepDone(payload, c.part.K)
 			if err != nil {
-				s.failed.Store(true) // a garbled worker is a dead worker
-				return
+				return // a garbled worker is a dead worker
 			}
 			select {
 			case s.frames <- f:
@@ -460,14 +433,12 @@ func (c *Coordinator) pump(s *slot, sess *distnet.Session) {
 				return
 			}
 		case fTelemetry:
-			f, err := decodeTelemetry(m.Payload)
+			f, err := decodeTelemetry(payload)
 			if err != nil {
-				s.failed.Store(true) // a garbled worker is a dead worker
-				return
+				return // a garbled worker is a dead worker
 			}
 			c.ingestTelemetry(s, &f)
 		case fAbort:
-			s.failed.Store(true)
 			return
 		default:
 			// A frame the coordinator never expects mid-run — a Hello after
@@ -476,7 +447,6 @@ func (c *Coordinator) pump(s *slot, sess *distnet.Session) {
 			// growth: versions are pinned in the handshake, so a same-epoch
 			// peer can never legitimately send an unknown type. Fail the
 			// rank rather than let misrouted traffic vanish.
-			s.failed.Store(true)
 			return
 		}
 	}
@@ -540,13 +510,7 @@ func (c *Coordinator) exportCluster() {
 	for i, s := range c.slots {
 		rs := &cs.Ranks[i]
 		rs.Rank = i
-		s.mu.Lock()
-		rs.Alive = s.alive
-		rs.Retransmits = s.closedRetrans
-		if s.sess != nil {
-			rs.Retransmits += s.sess.Stats().Retransmits
-		}
-		s.mu.Unlock()
+		rs.Alive = s.attached()
 		s.telMu.Lock()
 		rs.ClockOffsetNS = s.clockOff
 		rs.SpansIngested = s.spansIn
@@ -555,7 +519,6 @@ func (c *Coordinator) exportCluster() {
 		rs.StepLatencySumNS = s.stepLatSum
 		rs.StepLatencyMaxNS = s.stepLatMax
 		s.telMu.Unlock()
-		rs.Reconnects = c.mReconnects.ValueAt(i)
 		rs.Deaths = c.mDeaths.ValueAt(i)
 	}
 	c.rec.SetCluster(cs)
@@ -576,7 +539,7 @@ func (e *errRankDead) Unwrap() error { return e.err }
 func (c *Coordinator) dead(rank int) error {
 	s := c.slots[rank]
 	if s.failed.Load() {
-		return &distnet.PeerDownError{Peer: rank, MissedFor: "aborted"}
+		return &distnet.PeerDownError{Peer: rank, MissedFor: "connection lost"}
 	}
 	if silence, ok := c.mon.Silence(rank, time.Now()); ok && silence > c.opts.Lease {
 		return &distnet.PeerDownError{Peer: rank, MissedFor: silence.Truncate(time.Millisecond).String()}
@@ -609,12 +572,12 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 		}
 		c.stepBuf = encodeStep(c.stepBuf, &f)
 		s.mu.Lock()
-		sess := s.sess
+		conn := s.conn
 		s.mu.Unlock()
-		if sess == nil {
-			return nil, 0, &errRankDead{rank: rank, err: &distnet.PeerDownError{Peer: rank, MissedFor: "no session"}} //lint:ignore hotpath-alloc error exit, taken at most once per round
+		if conn == nil {
+			return nil, 0, &errRankDead{rank: rank, err: &distnet.PeerDownError{Peer: rank, MissedFor: "no connection"}} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
-		if err := sess.Send(fStep, c.stepBuf); err != nil {
+		if err := conn.Send(fStep, c.stepBuf); err != nil {
 			return nil, 0, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
 	}
@@ -739,11 +702,9 @@ func (c *Coordinator) awaitCluster(ctx context.Context) error {
 	for {
 		joined := 0
 		for _, s := range c.slots {
-			s.mu.Lock()
-			if s.alive {
+			if s.attached() {
 				joined++
 			}
-			s.mu.Unlock()
 		}
 		if joined == c.part.K {
 			return nil
@@ -798,9 +759,9 @@ func asRankDead(err error, target **errRankDead) bool {
 	return false
 }
 
-// recoverRank replaces a dead rank: bury the old incarnation, bump the
-// epoch (in-flight traffic from before is now stale by construction),
-// request a respawn, and wait for the replacement to join.
+// recoverRank replaces a dead rank: bury the old incarnation by closing its
+// connection, bump the epoch (in-flight traffic from before is now stale by
+// construction), request a respawn, and wait for the replacement to join.
 func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 	began := time.Now()
 	c.stats.RankDeaths++
@@ -811,20 +772,11 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 
 	s := c.slots[rank]
 	s.mu.Lock()
-	sess := s.sess
-	s.sess = nil
-	s.deadNonce = s.nonce
-	s.nonce = 0
-	s.alive = false
-	// The closed-session counters are s.mu state (handshake and
-	// exportSessionStats touch them under the lock); fold them in before
-	// releasing it.
-	if sess != nil {
-		s.foldClosedLocked(sess)
-	}
+	conn := s.conn
+	s.conn = nil
 	s.mu.Unlock()
-	if sess != nil {
-		_ = sess.Close()
+	if conn != nil {
+		_ = conn.Close()
 	}
 	c.mon.Forget(rank)
 	c.drainFrames(s)
@@ -839,10 +791,7 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 	tick := time.NewTicker(c.opts.Heartbeat / 2)
 	defer tick.Stop()
 	for {
-		s.mu.Lock()
-		alive := s.alive
-		s.mu.Unlock()
-		if alive {
+		if s.attached() {
 			d := time.Since(began)
 			c.stats.RecoveryTime += d
 			c.mRecMilli.Add(rank, d.Milliseconds())
@@ -929,7 +878,6 @@ func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error
 	}
 
 	c.mPhases.Add(0, 1)
-	c.exportSessionStats()
 	c.exportCluster()
 	c.rec.Span("cluster", "phase", phaseStart, time.Since(phaseStart), card)
 	c.rec.PhaseDone(c.stats.Algorithm, c.stats.Phases, card)
@@ -939,60 +887,36 @@ func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error
 	return nil
 }
 
-// exportSessionStats folds the per-rank session counters into the stats and
-// the retransmit delta into the metrics.
-func (c *Coordinator) exportSessionStats() {
-	var retrans, attach int64
-	for _, s := range c.slots {
-		s.mu.Lock()
-		retrans += s.closedRetrans
-		attach += s.closedAttach
-		if s.sess != nil {
-			st := s.sess.Stats()
-			retrans += st.Retransmits
-			attach += st.Attaches
-		}
-		s.mu.Unlock()
-	}
-	c.stats.Retransmits = retrans
-	c.stats.Attaches = attach
-	c.stats.Reconnects = c.reconnects.Load()
-	if d := retrans - c.prevRetrans; d > 0 {
-		c.mRetransmits.Add(0, d)
-		c.prevRetrans = retrans
-	}
-}
-
 // finishStats closes out the run-level statistics.
 func (c *Coordinator) finishStats(start time.Time, m *matching.Matching, err error) {
 	c.stats.Runtime = time.Since(start)
 	c.stats.FinalCardinality = m.Cardinality()
 	c.stats.Complete = err == nil
-	c.exportSessionStats()
+	c.stats.Attaches = c.attaches.Load()
 	c.exportCluster()
 }
 
-// broadcastDone tells every worker the run is complete and gives the final
-// frames a moment to flush before teardown.
+// broadcastDone tells every worker the run is complete, then waits (2 s in
+// all) for each to close its end. The coordinator must not close first:
+// closing a TCP connection with unread data in its buffer resets it, which
+// can destroy the Done frame before the worker reads it.
 func (c *Coordinator) broadcastDone() {
+	var pumps []chan struct{}
 	for _, s := range c.slots {
 		s.mu.Lock()
-		sess := s.sess
+		conn, pumped := s.conn, s.pumped
 		s.mu.Unlock()
-		if sess != nil {
-			_ = sess.Send(fDone, nil)
+		if conn != nil && conn.Send(fDone, nil) == nil {
+			pumps = append(pumps, pumped)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for _, s := range c.slots {
-		s.mu.Lock()
-		sess := s.sess
-		s.mu.Unlock()
-		if sess == nil {
-			continue
-		}
-		for sess.Pending() > 0 && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
+	deadline := time.NewTimer(2 * time.Second)
+	defer deadline.Stop()
+	for _, pumped := range pumps {
+		select {
+		case <-pumped:
+		case <-deadline.C:
+			return
 		}
 	}
 }

@@ -6,25 +6,11 @@ import (
 	"time"
 )
 
-// BackoffConfig is the copyable tuning for a Backoff; the zero value selects
-// the defaults (20ms base, 2s cap, clock-seeded jitter).
-type BackoffConfig struct {
-	Base time.Duration
-	Max  time.Duration
-	Seed int64
-}
-
-// New builds a Backoff on this schedule.
-func (c BackoffConfig) New() *Backoff {
-	return &Backoff{Base: c.Base, Max: c.Max, Seed: c.Seed}
-}
-
 // Backoff is a jittered, capped exponential backoff schedule: the nth delay
 // is drawn uniformly from [d/2, d] where d = min(Base<<(n-1), Max). The
 // half-window jitter decorrelates peers that fail together (every rank
-// re-dialing a restarted coordinator at once), while the cap keeps recovery
-// latency bounded. The zero value is usable; Reset rewinds the schedule
-// after a success.
+// dialing a coordinator that is still coming up at once), while the cap
+// keeps the join latency bounded. The zero value is usable.
 type Backoff struct {
 	Base time.Duration // first delay; 0 means 20ms
 	Max  time.Duration // delay cap; 0 means 2s
@@ -70,11 +56,4 @@ func (b *Backoff) Next() time.Duration {
 	b.attempt++
 	half := d / 2
 	return half + time.Duration(b.rng.Int63n(int64(half)+1))
-}
-
-// Reset rewinds the schedule to the first delay.
-func (b *Backoff) Reset() {
-	b.mu.Lock()
-	b.attempt = 0
-	b.mu.Unlock()
 }

@@ -9,17 +9,13 @@ import (
 )
 
 // Chaos configures the proxy's fault injection, the repo's one network
-// fault model: probabilities are per frame per direction, all randomness
-// is drawn from Seed so a failing schedule replays.
+// fault model. A stream socket never loses, repeats or reorders a frame
+// inside a live connection, so the proxy injects only what a real network
+// does to one: delay here, and outages through Proxy.SetPartition. All
+// randomness is drawn from Seed so a failing schedule replays.
 type Chaos struct {
-	// Seed drives the fault schedule; 0 seeds from the clock.
+	// Seed drives the jitter draws; 0 seeds from the clock.
 	Seed int64
-
-	// Drop is the probability a forwarded frame is silently discarded.
-	Drop float64
-
-	// Duplicate is the probability a forwarded frame is sent twice.
-	Duplicate float64
 
 	// Latency delays every forwarded frame; Jitter adds a uniform random
 	// extra on top. Because frames in one direction forward serially, high
@@ -29,32 +25,30 @@ type Chaos struct {
 }
 
 // Proxy is a frame-aware man-in-the-middle for chaos testing: it listens on
-// a local address, forwards framed traffic to a target, and injects drops,
-// duplication, latency, and full partitions at frame granularity. Framing
-// awareness is what makes drops meaningful — discarding raw bytes would
-// desynchronize the stream, whereas dropping whole frames exercises exactly
-// the retransmit/replay machinery the session layer exists for.
+// a local address, forwards framed traffic to a target, and injects latency
+// and full partitions at frame granularity.
 type Proxy struct {
 	target string
 	chaos  Chaos
 	lim    Limits
 
-	ln          gonet.Listener
-	partitioned atomic.Bool
-	closed      atomic.Bool
+	ln     gonet.Listener
+	closed atomic.Bool
+	done   chan struct{} // closed by Close; releases pipes a partition holds
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	conns []gonet.Conn
+	mu     sync.Mutex
+	rng    *rand.Rand
+	conns  []gonet.Conn
+	healed chan struct{} // non-nil while partitioned; closed when it heals
 
 	wg sync.WaitGroup
 
-	nDropped, nDuplicated, nForwarded atomic.Int64
+	nForwarded atomic.Int64
 }
 
 // ChaosStats counts what the proxy did to the traffic.
 type ChaosStats struct {
-	Forwarded, Dropped, Duplicated int64
+	Forwarded int64
 }
 
 // NewProxy starts a chaos proxy on a fresh loopback address in front of
@@ -73,6 +67,7 @@ func NewProxy(target string, chaos Chaos, lim Limits) (*Proxy, error) {
 		chaos:  chaos,
 		lim:    lim,
 		ln:     ln,
+		done:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 	p.wg.Add(1) //lint:ignore wg-balance acceptLoop's first deferred statement is the matching Done
@@ -84,18 +79,43 @@ func NewProxy(target string, chaos Chaos, lim Limits) (*Proxy, error) {
 // target.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// SetPartition toggles a full partition: while on, every frame in both
-// directions is black-holed (connections stay open — the network is down,
-// not the peer). Heartbeats stop flowing, so monitors on both sides expire.
-func (p *Proxy) SetPartition(on bool) { p.partitioned.Store(on) }
-
-// Stats snapshots the injected-fault counters.
-func (p *Proxy) Stats() ChaosStats {
-	return ChaosStats{
-		Forwarded:  p.nForwarded.Load(),
-		Dropped:    p.nDropped.Load(),
-		Duplicated: p.nDuplicated.Load(),
+// SetPartition toggles a full partition. While it is on, no frame crosses
+// in either direction, and neither does a connection close: both wait, in
+// order, until the partition heals. A real outage delays a stream; it does
+// not punch holes in it. Heartbeats stop arriving, so leases on both sides
+// expire.
+func (p *Proxy) SetPartition(on bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case on && p.healed == nil:
+		p.healed = make(chan struct{})
+	case !on && p.healed != nil:
+		close(p.healed)
+		p.healed = nil
 	}
+}
+
+// hold waits out any partition. It reports false if the proxy closed first.
+func (p *Proxy) hold() bool {
+	for {
+		p.mu.Lock()
+		healed := p.healed
+		p.mu.Unlock()
+		if healed == nil {
+			return true
+		}
+		select {
+		case <-healed:
+		case <-p.done:
+			return false
+		}
+	}
+}
+
+// Stats snapshots the traffic counters.
+func (p *Proxy) Stats() ChaosStats {
+	return ChaosStats{Forwarded: p.nForwarded.Load()}
 }
 
 // Close stops the proxy and severs every proxied connection.
@@ -103,6 +123,7 @@ func (p *Proxy) Close() error {
 	if p.closed.Swap(true) {
 		return nil
 	}
+	close(p.done)
 	err := p.ln.Close()
 	p.mu.Lock()
 	conns := append([]gonet.Conn(nil), p.conns...)
@@ -139,13 +160,6 @@ func (p *Proxy) track(cs ...gonet.Conn) {
 	p.mu.Unlock()
 }
 
-// roll draws from the shared seeded source.
-func (p *Proxy) roll() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rng.Float64()
-}
-
 func (p *Proxy) jitter() time.Duration {
 	if p.chaos.Jitter <= 0 {
 		return 0
@@ -155,11 +169,14 @@ func (p *Proxy) jitter() time.Duration {
 	return time.Duration(p.rng.Int63n(int64(p.chaos.Jitter)))
 }
 
-// pipe forwards frames src→dst, injecting the configured faults. It exits
-// when either side closes; closing src makes the sibling pipe exit too.
+// pipe forwards frames src→dst, delaying each by the configured latency and
+// holding it through a partition. It exits when either side closes; the
+// close crosses a partition only once it heals, and closing both ends makes
+// the sibling pipe exit too.
 func (p *Proxy) pipe(src, dst gonet.Conn) {
 	defer p.wg.Done()
 	defer func() {
+		p.hold()
 		_ = src.Close()
 		_ = dst.Close()
 	}()
@@ -171,13 +188,8 @@ func (p *Proxy) pipe(src, dst gonet.Conn) {
 		if err != nil {
 			return
 		}
-		if p.partitioned.Load() {
-			p.nDropped.Add(1)
-			continue // black hole: the bytes died on the wire
-		}
-		if p.chaos.Drop > 0 && p.roll() < p.chaos.Drop {
-			p.nDropped.Add(1)
-			continue
+		if !p.hold() {
+			return
 		}
 		if d := p.chaos.Latency + p.jitter(); d > 0 {
 			time.Sleep(d)
@@ -187,11 +199,5 @@ func (p *Proxy) pipe(src, dst gonet.Conn) {
 			return
 		}
 		p.nForwarded.Add(1)
-		if p.chaos.Duplicate > 0 && p.roll() < p.chaos.Duplicate {
-			if _, err := dst.Write(wbuf); err != nil {
-				return
-			}
-			p.nDuplicated.Add(1)
-		}
 	}
 }

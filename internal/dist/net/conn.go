@@ -44,23 +44,9 @@ func NewConn(c gonet.Conn, cfg Config) *Conn {
 	return &Conn{c: c, cfg: cfg, br: bufio.NewReaderSize(c, 64<<10)}
 }
 
-// Send writes one frame. Frame types at or above the reserved range are the
-// session layer's; application callers get a *FrameError before any bytes
-// move. Write failures and deadline expiries are transient
+// Send writes one frame. Write failures and deadline expiries are transient
 // *TransportErrors.
 func (c *Conn) Send(typ byte, payload []byte) error {
-	return c.send(typ, payload, false)
-}
-
-// sendReserved is Send for the session layer's own control frames.
-func (c *Conn) sendReserved(typ byte, payload []byte) error {
-	return c.send(typ, payload, true)
-}
-
-func (c *Conn) send(typ byte, payload []byte, reserved bool) error {
-	if !reserved && typ >= typeReserved {
-		return &FrameError{Reason: "application frame type in reserved range"}
-	}
 	// wmu exists to serialize whole-frame writes: the I/O under it is the
 	// point, and the write deadline bounds how long the lock can be held.
 	c.wmu.Lock()
@@ -103,11 +89,11 @@ func (c *Conn) Recv() (byte, []byte, error) {
 // want tight deadlines while a silent peer means "gone"; once lease-based
 // watchdogs own liveness the read deadline usually comes off. Not safe
 // concurrently with an active Send or Recv — call it between protocol
-// stages, before handing the conn to a session.
+// stages, before the conn carries run traffic.
 func (c *Conn) SetTimeouts(read, write time.Duration) {
 	// Disabling a timeout must also disarm any deadline the previous stage
 	// left on the socket — Send/Recv only arm deadlines when a timeout is
-	// configured, so a stale one would fire mid-session otherwise.
+	// configured, so a stale one would fire mid-run otherwise.
 	if read <= 0 && c.cfg.ReadTimeout > 0 {
 		_ = c.c.SetReadDeadline(time.Time{})
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	gonet "net"
 	"strings"
-	"time"
 )
 
 // Network guesses the network for an address: paths ("/run/x.sock", "./x")
@@ -17,42 +16,12 @@ func Network(addr string) string {
 	return "tcp"
 }
 
-// DialOnce makes a single connection attempt.
-func DialOnce(ctx context.Context, addr string, cfg Config) (*Conn, error) {
+// Dial makes one connection attempt; the caller owns any retry policy.
+func Dial(ctx context.Context, addr string, cfg Config) (*Conn, error) {
 	var d gonet.Dialer
 	c, err := d.DialContext(ctx, Network(addr), addr)
 	if err != nil {
 		return nil, classify("dial", err)
 	}
 	return NewConn(c, cfg), nil
-}
-
-// Dial connects to addr, retrying with jittered capped backoff until it
-// succeeds or ctx expires — the reconnect path a rank takes when its
-// coordinator restarts, or the first join of a cluster that is still coming
-// up. bo may be shared across calls to preserve escalation; nil uses a
-// fresh default schedule.
-func Dial(ctx context.Context, addr string, cfg Config, bo *Backoff) (*Conn, error) {
-	if bo == nil {
-		bo = &Backoff{}
-	}
-	var lastErr error
-	for {
-		c, err := DialOnce(ctx, addr, cfg)
-		if err == nil {
-			bo.Reset()
-			return c, nil
-		}
-		lastErr = err
-		t := time.NewTimer(bo.Next())
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			if lastErr != nil {
-				return nil, lastErr
-			}
-			return nil, classify("dial", ctx.Err())
-		case <-t.C:
-		}
-	}
 }

@@ -6,19 +6,9 @@ import (
 )
 
 // Wire format: every frame is a 5-byte header — 1 type byte, 4-byte
-// big-endian payload length — followed by the payload. Application frame
-// types must stay below typeReserved; the session layer owns the rest for
-// its acknowledgement traffic.
-const (
-	headerSize = 5
-
-	// typeReserved is the first frame type reserved for the transport
-	// itself; applications must use types below it.
-	typeReserved byte = 0xF0
-
-	// typeAck is the session layer's cumulative acknowledgement frame.
-	typeAck byte = 0xF0
-)
+// big-endian payload length — followed by the payload. The type byte is the
+// application's: the transport adds no frames of its own.
+const headerSize = 5
 
 // appendFrame appends one encoded frame to dst and returns it.
 func appendFrame(dst []byte, typ byte, payload []byte) []byte {
@@ -29,9 +19,9 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 
 // readFrame reads one frame from r, reusing buf for the payload when it has
 // capacity. The returned payload aliases the (possibly grown) buffer, which
-// is also returned for reuse. A length header beyond lim.MaxFrame or a
-// reserved type seen where the caller forbids it is a *FrameError; transport
-// failures are returned as-is for the caller to classify.
+// is also returned for reuse. A length header beyond lim.MaxFrame is a
+// *FrameError; transport failures are returned as-is for the caller to
+// classify.
 func readFrame(r io.Reader, lim Limits, buf []byte) (typ byte, payload, newBuf []byte, err error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

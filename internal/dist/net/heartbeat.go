@@ -7,37 +7,18 @@ import (
 )
 
 // Monitor is the heartbeat-based failure detector: the owner calls Touch on
-// every frame received from a peer (heartbeats included), and Expired
-// reports peers silent past Interval*Miss. Pure bookkeeping — the owner
-// decides what death means (respawn a rank, abort a minority partition).
+// every frame received from a peer (heartbeats included) and compares
+// Silence with its lease. Pure bookkeeping — the owner decides what death
+// means (respawn a rank, abort a minority partition).
 type Monitor struct {
-	interval time.Duration
-	miss     int
-
 	mu   sync.Mutex
 	last map[int]time.Time
 }
 
-// NewMonitor tracks peers with the given heartbeat interval, declaring a
-// peer dead after miss consecutive intervals of silence (miss < 2 means 2,
-// so one delayed heartbeat is never a death sentence).
-func NewMonitor(interval time.Duration, miss int) *Monitor {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if miss < 2 {
-		miss = 2
-	}
-	return &Monitor{interval: interval, miss: miss, last: make(map[int]time.Time)}
+// NewMonitor returns a Monitor tracking no peers.
+func NewMonitor() *Monitor {
+	return &Monitor{last: make(map[int]time.Time)}
 }
-
-// Deadline is the silence duration past which a peer is declared dead.
-func (m *Monitor) Deadline() time.Duration {
-	return m.interval * time.Duration(m.miss)
-}
-
-// Interval is the expected heartbeat period.
-func (m *Monitor) Interval() time.Duration { return m.interval }
 
 // Touch records life from peer id.
 func (m *Monitor) Touch(id int) {
@@ -54,21 +35,6 @@ func (m *Monitor) Forget(id int) {
 	m.mu.Unlock()
 }
 
-// Expired returns the tracked peers whose silence has passed the deadline,
-// in ascending id order is NOT guaranteed; callers sort if they care.
-func (m *Monitor) Expired(now time.Time) []int {
-	dl := m.Deadline()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var dead []int
-	for id, t := range m.last {
-		if now.Sub(t) > dl {
-			dead = append(dead, id)
-		}
-	}
-	return dead
-}
-
 // Silence reports how long peer id has been quiet; ok is false for an
 // untracked peer.
 func (m *Monitor) Silence(id int, now time.Time) (time.Duration, bool) {
@@ -81,13 +47,14 @@ func (m *Monitor) Silence(id int, now time.Time) (time.Duration, bool) {
 	return now.Sub(t), true
 }
 
-// Heartbeat sends unreliable frames of type typ on s every interval until
-// ctx is done. It runs on the caller's goroutine choice; typical use is
+// Heartbeat sends empty frames of type typ on c every interval until ctx is
+// done or a send fails. It runs on the caller's goroutine choice; typical
+// use is
 //
-//	go net.Heartbeat(ctx, sess, fHB, interval)
+//	go net.Heartbeat(ctx, conn, fHB, interval)
 //
-// and the ctx cancellation is the join signal.
-func Heartbeat(ctx context.Context, s *Session, typ byte, interval time.Duration) {
+// and the ctx cancellation (or closing the conn) is the join signal.
+func Heartbeat(ctx context.Context, c *Conn, typ byte, interval time.Duration) {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -98,8 +65,8 @@ func Heartbeat(ctx context.Context, s *Session, typ byte, interval time.Duration
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if err := s.SendUnreliable(typ, nil); err != nil {
-				return // session closed; nothing left to keep alive
+			if err := c.Send(typ, nil); err != nil {
+				return // connection gone; nothing left to keep alive
 			}
 		}
 	}

@@ -1,21 +1,22 @@
 // Package net is the wire transport under the distributed matching runtime:
-// length-framed messages over TCP or unix sockets, a reliable in-order
-// session layer (sequence numbers, cumulative acks, retransmit with jittered
-// capped backoff, reconnect-and-replay), heartbeat-based peer-failure
-// detection, and a frame-aware chaos proxy that extends the in-process fault
-// injection of internal/dist/faults to the wire.
+// length-framed messages over TCP or unix sockets, heartbeat-based
+// peer-failure detection, and a frame-aware chaos proxy, the repo's one
+// network fault model.
 //
 // The package knows nothing about matching: it moves (type, payload) frames
-// between peers and tells its owner when a peer has gone quiet. The
+// between peers and tells its owner when a peer has gone quiet. A stream
+// socket already delivers every frame in order exactly once while the
+// connection lives, so there is no session layer on top: a broken
+// connection is the peer's death, and the owner recovers one layer up. The
 // superstep protocol, recovery state machine, and checkpoint integration
-// live one layer up, in internal/dist.
+// live in internal/dist.
 //
 // Failure surfaces as typed errors at well-defined points instead of wedges:
-// a hung peer trips a read/write deadline (*TransportError, transient), a
-// malformed or oversized frame is rejected before any size-dependent
-// allocation (*FrameError, the mmio.Limits allocation-bomb pattern), and a
-// peer that stops heartbeating is reported by the Monitor so the owner can
-// abort or recover at a superstep barrier.
+// a hung peer trips a read/write deadline (*TransportError), a malformed or
+// oversized frame is rejected before any size-dependent allocation
+// (*FrameError, the mmio.Limits allocation-bomb pattern), and a peer that
+// stops heartbeating is reported by the Monitor so the owner can abort or
+// recover at a superstep barrier.
 package net
 
 import (
@@ -44,9 +45,8 @@ func (l Limits) maxFrame() int {
 	return DefaultMaxFrame
 }
 
-// FrameError reports a malformed or oversized inbound frame: a length header
-// beyond Limits.MaxFrame, a reserved frame type from the application, or a
-// truncated header. It is not transient — the stream is unsynchronized and
+// FrameError reports an oversized inbound frame: a length header beyond
+// Limits.MaxFrame. It is not transient — the stream is unsynchronized and
 // the connection must be torn down.
 type FrameError struct {
 	Reason string
@@ -61,9 +61,9 @@ func (e *FrameError) Error() string {
 }
 
 // TransportError wraps an I/O failure on the wire: a read/write deadline
-// expiry (Timeout), a broken connection, a dial failure. It is transient —
-// the session layer reconnects and replays — so a supervisor retries rather
-// than degrading.
+// expiry (Timeout), a broken connection, a dial failure. It is transient: a
+// fresh connection may succeed where this one failed, so a supervisor
+// retries rather than degrading.
 type TransportError struct {
 	Op      string // "read", "write", "dial", "accept"
 	Timeout bool
@@ -79,8 +79,8 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// Transient marks the error retryable: the worker's join and reattach loops
-// retry it in place.
+// Transient marks the error retryable: the worker's join loop retries it in
+// place.
 func (e *TransportError) Transient() bool { return true }
 
 // PeerDownError reports a peer declared dead by heartbeat monitoring: no

@@ -1,6 +1,8 @@
 package net
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	gonet "net"
 	"testing"
@@ -108,14 +110,6 @@ func TestMalformedHeaderIsError(t *testing.T) {
 	<-done
 }
 
-func TestReservedTypeRejectedOnSend(t *testing.T) {
-	c1, _ := connPair(t, Config{})
-	var fe *FrameError
-	if err := c1.Send(typeAck, nil); !errors.As(err, &fe) {
-		t.Fatalf("reserved-type send: got %v, want *FrameError", err)
-	}
-}
-
 func TestReadDeadlineSurfacesTransient(t *testing.T) {
 	c1, _ := connPair(t, Config{ReadTimeout: 30 * time.Millisecond})
 	_, _, err := c1.Recv()
@@ -138,10 +132,6 @@ func TestBackoffJitteredAndCapped(t *testing.T) {
 			t.Fatalf("attempt %d: delay %v outside [%v, %v]", i, d, nominal/2, nominal)
 		}
 	}
-	b.Reset()
-	if d := b.Next(); d > 10*time.Millisecond {
-		t.Fatalf("after Reset, delay %v exceeds base", d)
-	}
 }
 
 func TestBackoffDeterministicPerSeed(t *testing.T) {
@@ -162,27 +152,157 @@ func TestBackoffDeterministicPerSeed(t *testing.T) {
 }
 
 func TestMonitorExpiry(t *testing.T) {
-	m := NewMonitor(50*time.Millisecond, 4) // deadline: 200ms of silence
+	const lease = 200 * time.Millisecond
+	m := NewMonitor()
 	m.Touch(0)
 	m.Touch(1)
-	if dead := m.Expired(time.Now()); len(dead) != 0 {
-		t.Fatalf("fresh peers reported dead: %v", dead)
+	if s, ok := m.Silence(0, time.Now()); !ok || s > lease {
+		t.Fatalf("fresh peer: Silence(0) = %v, %v", s, ok)
 	}
-	// Keep peer 1 chatty while peer 0 goes silent well past the deadline.
-	for start := time.Now(); time.Since(start) < 250*time.Millisecond; {
+	// Keep peer 1 chatty while peer 0 goes silent past the lease.
+	for start := time.Now(); time.Since(start) < lease+50*time.Millisecond; {
 		time.Sleep(20 * time.Millisecond)
 		m.Touch(1)
 	}
-	dead := m.Expired(time.Now())
-	if len(dead) != 1 || dead[0] != 0 {
-		t.Fatalf("expired = %v, want [0]", dead)
+	now := time.Now()
+	if s, ok := m.Silence(0, now); !ok || s <= lease {
+		t.Fatalf("silent peer: Silence(0) = %v, %v; want > %v", s, ok, lease)
 	}
-	if s, ok := m.Silence(0, time.Now()); !ok || s < m.Deadline() {
-		t.Fatalf("Silence(0) = %v, %v; want >= %v", s, ok, m.Deadline())
+	if s, ok := m.Silence(1, now); !ok || s > lease {
+		t.Fatalf("chatty peer: Silence(1) = %v, %v; want <= %v", s, ok, lease)
 	}
 	m.Forget(0)
-	if dead := m.Expired(time.Now().Add(time.Hour)); len(dead) != 1 || dead[0] != 1 {
-		t.Fatalf("after Forget(0), expired = %v, want [1]", dead)
+	if _, ok := m.Silence(0, now); ok {
+		t.Fatal("Forget(0) left peer 0 tracked")
+	}
+}
+
+func TestHeartbeatFlows(t *testing.T) {
+	c1, c2 := connPair(t, Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		Heartbeat(ctx, c1, 0x20, 10*time.Millisecond)
+	}()
+	for i := 0; i < 3; i++ {
+		typ, payload, err := c2.Recv()
+		if err != nil {
+			t.Fatalf("heartbeat %d never arrived: %v", i, err)
+		}
+		if typ != 0x20 || len(payload) != 0 {
+			t.Fatalf("heartbeat %d: type %d payload %q", i, typ, payload)
+		}
+	}
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Heartbeat goroutine did not exit on ctx cancel")
+	}
+}
+
+// TestConnCloseUnblocksRecv: a Recv blocked on a silent peer returns a
+// *TransportError once the conn is closed. A worker's lease watchdog relies
+// on this to stop the step loop.
+func TestConnCloseUnblocksRecv(t *testing.T) {
+	c1, _ := connPair(t, Config{})
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := c1.Recv()
+		errc <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	c1.Close()
+	select {
+	case err := <-errc:
+		var te *TransportError
+		if !errors.As(err, &te) {
+			t.Fatalf("Recv after Close: got %v, want *TransportError", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock Recv")
+	}
+}
+
+// TestProxyPartitionStallsThenHeals: frames sent during a partition, and the
+// sender's close after them, cross only once the partition heals, and then
+// in order.
+func TestProxyPartitionStallsThenHeals(t *testing.T) {
+	ln, err := gonet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	proxy, err := NewProxy(ln.Addr().String(), Chaos{Seed: 9, Latency: time.Millisecond, Jitter: 2 * time.Millisecond}, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	client, err := Dial(context.Background(), proxy.Addr(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := NewConn(raw, Config{})
+	defer server.Close()
+
+	type frame struct {
+		typ byte
+		seq int
+		err error
+	}
+	got := make(chan frame, 64)
+	go func() {
+		for {
+			typ, payload, err := server.Recv()
+			if err != nil {
+				got <- frame{err: err}
+				return
+			}
+			got <- frame{typ: typ, seq: int(binary.LittleEndian.Uint64(payload))}
+		}
+	}()
+
+	proxy.SetPartition(true)
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := client.Send(1, binary.LittleEndian.AppendUint64(nil, uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.Close()
+	select {
+	case f := <-got:
+		t.Fatalf("crossed an active partition: %+v", f)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if fwd := proxy.Stats().Forwarded; fwd != 0 {
+		t.Fatalf("proxy forwarded %d frames during a partition", fwd)
+	}
+
+	proxy.SetPartition(false)
+	timeout := time.After(10 * time.Second)
+	for i := 0; i <= n; i++ {
+		select {
+		case f := <-got:
+			if i == n {
+				if f.err == nil {
+					t.Fatalf("frame %+v after the sender closed", f)
+				}
+				return
+			}
+			if f.err != nil || f.typ != 1 || f.seq != i {
+				t.Fatalf("frame %d: got %+v", i, f)
+			}
+		case <-timeout:
+			t.Fatalf("only %d of %d frames (and the close) crossed after the partition healed", i, n)
+		}
 	}
 }
 

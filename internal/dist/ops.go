@@ -9,8 +9,8 @@ import (
 // (Coordinator/Worker): one method per superstep body, reading and mutating a
 // single rank's state and writing outbound messages into its outboxes. What
 // differs between the two runtimes is only how outboxes become inboxes — a
-// slice concatenation in the simulation, framed sessions over sockets in the
-// cluster — so keeping the bodies here is what makes "the worker computes
+// slice concatenation in the simulation, framed connections over sockets in
+// the cluster — so keeping the bodies here is what makes "the worker computes
 // exactly what the simulated rank computes" a structural fact rather than a
 // test hope.
 type ops struct {

@@ -7,7 +7,7 @@ import (
 
 // superstepper is what the distributed phase schedule needs from a runtime:
 // the in-process Engine delivers outboxes by slice concatenation, the
-// Coordinator by framed sessions to worker processes.
+// Coordinator by framed connections to worker processes.
 type superstepper interface {
 	// round runs one schedule op on every rank and then exchanges: each
 	// rank's outboxes become the destination ranks' inboxes for the next

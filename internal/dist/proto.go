@@ -10,21 +10,22 @@ import (
 // protoVersion gates the cluster wire protocol; a worker and coordinator
 // must agree exactly (the Hello/Welcome handshake checks). v2 added the
 // run-trace context (Hello send timestamp, Welcome trace id, trace ids on
-// superstep frames) and the fTelemetry span-shipping frame.
-const protoVersion = 2
+// superstep frames) and the fTelemetry span-shipping frame. v3 dropped the
+// reliable session (sequence prefixes, ack frames) and the Hello nonce:
+// every frame travels directly on the connection, and the connection is the
+// worker incarnation.
+const protoVersion = 3
 
-// Frame types on a cluster link. Hello and Welcome travel raw on the conn
-// before the reliable session attaches (they negotiate the session's
-// identity); everything else rides the session. All types stay below the
-// session layer's reserved range (0xF0+).
+// Frame types on a cluster link. Hello and Welcome open a fresh connection;
+// everything else follows on the same connection.
 const (
-	fHello     byte = iota + 1 // 1: worker → coordinator: version, rank wanted, nonce, graph fingerprint
+	fHello     byte = iota + 1 // 1: worker → coordinator: version, rank wanted, graph fingerprint
 	fWelcome                   // 2: coordinator → worker: assigned rank, K, epoch, heartbeat/lease terms
 	fStep                      // 3: coordinator → worker: one superstep order with routed inbox
 	fStepDone                  // 4: worker → coordinator: outboxes, census info, new renewable roots
 	fDone                      // 5: coordinator → worker: run complete, exit cleanly
 	fAbort                     // 6: either direction: fatal condition, carries the reason
-	fHB                        // 7: unreliable heartbeat, empty payload
+	fHB                        // 7: heartbeat, empty payload
 	fTelemetry                 // 8: worker → coordinator: batched spans + metric deltas, best-effort
 )
 
@@ -89,14 +90,12 @@ func (e *ProtoError) Error() string {
 	return fmt.Sprintf("dist: malformed %s frame: %s", e.Frame, e.Reason)
 }
 
-// helloFrame opens a worker's connection, raw on the conn: who it is (nonce
-// distinguishes a reconnect of the same process from a respawned
-// incarnation), which rank it wants (-1 for any), and the fingerprint of the
-// graph it loaded — both sides must be looking at the same problem.
+// helloFrame opens a worker's connection: which rank it wants (-1 for any)
+// and the fingerprint of the graph it loaded — both sides must be looking
+// at the same problem.
 type helloFrame struct {
 	Version uint16
 	Rank    int32 // requested rank; -1 means "assign me one"
-	Nonce   uint64
 	SentAt  int64 // worker wall clock (UnixNano) at send; clock-offset estimate
 	FP      checkpoint.Fingerprint
 }
@@ -200,10 +199,9 @@ func putMsgs(b []byte, ms []message) []byte {
 }
 
 func encodeHello(h helloFrame) []byte {
-	b := make([]byte, 0, 48)
+	b := make([]byte, 0, 40)
 	b = putU16(b, h.Version)
 	b = putI32(b, h.Rank)
-	b = putU64(b, h.Nonce)
 	b = putI64(b, h.SentAt)
 	b = putI32(b, h.FP.NX)
 	b = putI32(b, h.FP.NY)
@@ -411,7 +409,6 @@ func decodeHello(b []byte) (helloFrame, error) {
 	h := helloFrame{
 		Version: r.u16(),
 		Rank:    r.i32(),
-		Nonce:   r.u64(),
 		SentAt:  r.i64(),
 		FP: checkpoint.Fingerprint{
 			NX: r.i32(), NY: r.i32(), NNZ: r.i64(), AdjHash: r.u64(),

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"graftmatch/internal/bipartite"
 	"graftmatch/internal/checkpoint"
 	distnet "graftmatch/internal/dist/net"
 	"graftmatch/internal/gen"
@@ -34,9 +35,6 @@ func TestFrameTypeWireValues(t *testing.T) {
 		if p.got != p.want {
 			t.Errorf("%s = %d, want wire value %d", p.name, p.got, p.want)
 		}
-	}
-	if fTelemetry >= 0xF0 {
-		t.Errorf("fTelemetry = %d collides with the session layer's reserved range", fTelemetry)
 	}
 }
 
@@ -105,36 +103,24 @@ func TestTelemetryFrameTruncation(t *testing.T) {
 	}
 }
 
-// TestPumpUnknownFrameFailsRank asserts the coordinator declares a rank
-// failed when its session delivers a frame type the protocol never
-// negotiated. Versions are pinned in the handshake, so an unknown type
-// mid-run is a protocol violation; it must fail the rank, not vanish into
-// a silent default.
-func TestPumpUnknownFrameFailsRank(t *testing.T) {
-	g := gen.ER(50, 50, 200, 9)
-	opts := testClusterOpts()
-	opts.Ranks = 1
-	c, err := NewCoordinator(g, "127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Dial as a worker would: raw Hello/Welcome, then attach a session.
+// rawJoin dials c as a worker would and runs the Hello/Welcome handshake by
+// hand, returning the connection the coordinator attached as rank w.Rank.
+func rawJoin(t *testing.T, c *Coordinator, g *bipartite.Graph) (*distnet.Conn, welcomeFrame) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	cfg := distnet.Config{
 		ReadTimeout:  500 * time.Millisecond,
 		WriteTimeout: 500 * time.Millisecond,
 	}
-	conn, err := distnet.DialOnce(ctx, c.Addr(), cfg)
+	conn, err := distnet.Dial(ctx, c.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { conn.Close() })
 	hello := encodeHello(helloFrame{
 		Version: protoVersion,
 		Rank:    0,
-		Nonce:   workerNonce(),
 		FP:      checkpoint.GraphFingerprint(g),
 	})
 	if err := conn.Send(fHello, hello); err != nil {
@@ -152,23 +138,61 @@ func TestPumpUnknownFrameFailsRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.SetTimeouts(0, 500*time.Millisecond)
-	sess := distnet.NewSession(distnet.SessionConfig{})
-	defer sess.Close()
-	sess.Attach(conn)
+	return conn, w
+}
 
-	// A type below the session-reserved range that the cluster protocol
-	// never assigned.
-	const bogus byte = 0x7F
-	if err := sess.Send(bogus, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	s := c.slots[w.Rank]
-	deadline := time.Now().Add(3 * time.Second)
+// waitFailed polls until the coordinator marks rank failed, and fails the
+// test if that takes longer than within.
+func waitFailed(t *testing.T, c *Coordinator, rank int32, within time.Duration, why string) {
+	t.Helper()
+	s := c.slots[rank]
+	deadline := time.Now().Add(within)
 	for !s.failed.Load() {
 		if time.Now().After(deadline) {
-			t.Fatal("coordinator never marked the rank failed after an unknown frame type")
+			t.Fatalf("coordinator did not mark the rank failed within %v after %s", within, why)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPumpUnknownFrameFailsRank asserts the coordinator declares a rank
+// failed when its connection delivers a frame type the protocol never
+// negotiated. Versions are pinned in the handshake, so an unknown type
+// mid-run is a protocol violation; it must fail the rank, not vanish into
+// a silent default.
+func TestPumpUnknownFrameFailsRank(t *testing.T) {
+	g := gen.ER(50, 50, 200, 9)
+	opts := testClusterOpts()
+	opts.Ranks = 1
+	c, err := NewCoordinator(g, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, w := rawJoin(t, c, g)
+
+	// A type the cluster protocol never assigned.
+	const bogus byte = 0x7F
+	if err := conn.Send(bogus, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFailed(t, c, w.Rank, 3*time.Second, "an unknown frame type")
+}
+
+// TestLostConnectionFailsRankAtOnce: the connection is the incarnation, so
+// losing it fails the rank at once — long before the 8s lease (Heartbeat
+// 1s) would declare the silence.
+func TestLostConnectionFailsRankAtOnce(t *testing.T) {
+	g := gen.ER(50, 50, 200, 9)
+	c, err := NewCoordinator(g, "127.0.0.1:0", ClusterOptions{Ranks: 1, Heartbeat: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, w := rawJoin(t, c, g)
+	conn.Close()
+	waitFailed(t, c, w.Rank, time.Second, "its connection closed")
+	if err := c.dead(int(w.Rank)); err == nil {
+		t.Fatal("failure detector does not report the rank whose connection was lost")
 	}
 }

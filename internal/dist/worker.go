@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -31,12 +30,9 @@ type WorkerOptions struct {
 	// Limits bounds inbound frames; the zero value uses the package default.
 	Limits distnet.Limits
 
-	// RTO tunes the session retransmit schedule.
-	RTO distnet.BackoffConfig
-
-	// HandshakeTimeout bounds one raw Hello/Welcome exchange; 0 means 10s.
-	// A lossy network drops handshake frames too — the exchange is retried,
-	// so this only sets how fast a dead attempt is abandoned.
+	// HandshakeTimeout bounds one Hello/Welcome exchange; 0 means 10s. A
+	// timed-out attempt is retried within JoinWait, so this only sets how
+	// fast a dead attempt is abandoned.
 	HandshakeTimeout time.Duration
 
 	// JoinWait bounds the initial join as a whole (dialing plus handshake,
@@ -44,9 +40,8 @@ type WorkerOptions struct {
 	// coordinator); 0 means 2m.
 	JoinWait time.Duration
 
-	// OnAttach, when non-nil, is called after every successful handshake
-	// (first join and reconnects) with the assigned rank. Tests use it;
-	// the CLI logs it.
+	// OnAttach, when non-nil, is called after the successful handshake with
+	// the assigned rank. Tests use it; the CLI logs it.
 	OnAttach func(rank int)
 
 	// Recorder, when non-nil, records per-op spans locally and turns on the
@@ -88,10 +83,10 @@ func (t *telShipper) add(s telSpan) {
 	t.spans = append(t.spans, s)
 }
 
-// ship encodes the buffered batch and sends it on the session. Best-effort:
-// a send error is swallowed (the session is dying; the step loop will see
-// it) and the batch is discarded either way.
-func (t *telShipper) ship(sess *distnet.Session, epoch uint64) {
+// ship encodes the buffered batch and sends it on the connection.
+// Best-effort: a send error is swallowed (the connection is dying; the step
+// loop will see it) and the batch is discarded either way.
+func (t *telShipper) ship(conn *distnet.Conn, epoch uint64) {
 	if len(t.spans) == 0 && t.steps == 0 {
 		return
 	}
@@ -104,7 +99,7 @@ func (t *telShipper) ship(sess *distnet.Session, epoch uint64) {
 		Spans:   t.spans,
 	}
 	t.buf = encodeTelemetry(t.buf, &t.frame)
-	_ = sess.Send(fTelemetry, t.buf)
+	_ = conn.Send(fTelemetry, t.buf)
 	t.spans = t.spans[:0]
 	t.steps = 0
 	t.msgsOut = 0
@@ -117,20 +112,14 @@ type workerLink struct {
 	welcome welcomeFrame
 }
 
-// helloTimeout bounds one raw handshake exchange; a coordinator that accepts
-// the TCP connection but never answers the Hello is treated as down.
+// helloTimeout bounds one handshake exchange; a coordinator that accepts
+// the connection but never answers the Hello is treated as down.
 const helloTimeout = 10 * time.Second
 
-// workerNonce distinguishes this process incarnation from any other worker
-// that ever held the same rank. Uniqueness across processes is what matters,
-// not unpredictability.
-func workerNonce() uint64 {
-	return uint64(time.Now().UnixNano()) ^ (uint64(os.Getpid()) << 32)
-}
-
-// join dials the coordinator and runs the raw Hello/Welcome handshake on the
-// fresh conn, before any session traffic.
-func join(ctx context.Context, opts WorkerOptions, nonce uint64, fp checkpoint.Fingerprint, bo *distnet.Backoff) (workerLink, error) {
+// join dials the coordinator once and runs the Hello/Welcome handshake on
+// the fresh connection. The coordinator's first frame on it is Welcome or
+// Abort; anything else is a *ProtoError.
+func join(ctx context.Context, opts WorkerOptions, fp checkpoint.Fingerprint) (workerLink, error) {
 	ht := opts.HandshakeTimeout
 	if ht <= 0 {
 		ht = helloTimeout
@@ -140,14 +129,13 @@ func join(ctx context.Context, opts WorkerOptions, nonce uint64, fp checkpoint.F
 		ReadTimeout:  ht,
 		WriteTimeout: ht,
 	}
-	conn, err := distnet.Dial(ctx, opts.Addr, cfg, bo)
+	conn, err := distnet.Dial(ctx, opts.Addr, cfg)
 	if err != nil {
 		return workerLink{}, err
 	}
 	hello := encodeHello(helloFrame{
 		Version: protoVersion,
 		Rank:    int32(opts.Rank),
-		Nonce:   nonce,
 		SentAt:  time.Now().UnixNano(),
 		FP:      fp,
 	})
@@ -155,45 +143,32 @@ func join(ctx context.Context, opts WorkerOptions, nonce uint64, fp checkpoint.F
 		_ = conn.Close()
 		return workerLink{}, err
 	}
-	deadline := time.Now().Add(ht)
-	for {
-		typ, payload, err := conn.Recv()
+	typ, payload, err := conn.Recv()
+	if err != nil {
+		_ = conn.Close()
+		return workerLink{}, err
+	}
+	switch typ {
+	case fWelcome:
+		w, err := decodeWelcome(payload)
 		if err != nil {
 			_ = conn.Close()
 			return workerLink{}, err
 		}
-		//lint:ignore proto-exhaustive handshake loop: anything but Welcome/Abort is pre-session noise, skipped until the dial deadline expires
-		switch typ {
-		case fWelcome:
-			w, err := decodeWelcome(payload)
-			if err != nil {
-				_ = conn.Close()
-				return workerLink{}, err
-			}
-			// Handshake done: the lease watchdog owns liveness from here, so
-			// the tight per-frame read deadline comes off before the session
-			// attaches.
-			conn.SetTimeouts(0, ht)
-			return workerLink{conn: conn, welcome: w}, nil
-		case fAbort:
-			reason, derr := decodeAbort(payload)
-			_ = conn.Close()
-			if derr != nil {
-				return workerLink{}, derr
-			}
-			return workerLink{}, fmt.Errorf("dist: coordinator refused join: %s", reason) //lint:ignore hotpath-alloc refusal exit of the handshake wait loop
-		default:
-			// Not garbage but early: on a lossy network our Welcome can be
-			// lost while session traffic (heartbeats, replayed steps) already
-			// flows on this conn. Skip it — the session layer retransmits
-			// anything discarded here — and keep waiting for the Welcome
-			// until the handshake deadline, then redial as a transient
-			// failure (the same nonce makes the retry idempotent).
-			if time.Now().After(deadline) {
-				_ = conn.Close()
-				return workerLink{}, &distnet.TransportError{Op: "handshake", Timeout: true, Err: fmt.Errorf("no welcome within %v", ht)} //lint:ignore hotpath-alloc timeout exit of the handshake wait loop
-			}
+		// Handshake done: the lease watchdog owns liveness from here, so
+		// the tight per-frame read deadline comes off.
+		conn.SetTimeouts(0, ht)
+		return workerLink{conn: conn, welcome: w}, nil
+	case fAbort:
+		reason, derr := decodeAbort(payload)
+		_ = conn.Close()
+		if derr != nil {
+			return workerLink{}, derr
 		}
+		return workerLink{}, fmt.Errorf("dist: coordinator refused join: %s", reason)
+	default:
+		_ = conn.Close()
+		return workerLink{}, &ProtoError{Frame: "welcome", Reason: fmt.Sprintf("handshake answered with frame type %d", typ)}
 	}
 }
 
@@ -204,23 +179,19 @@ func transientErr(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// initialJoin retries the first join for up to JoinWait as long as failures
-// stay transient: the coordinator may not be listening yet, and on a lossy
-// network the handshake frames themselves can be lost. A refusal (wrong
-// fingerprint, rank taken, stale incarnation) is final and returns at once.
-// Retrying with the same nonce is idempotent: if a lost Welcome left the
-// coordinator believing this worker already joined, the retry lands on the
-// reattach path.
-func initialJoin(ctx context.Context, opts WorkerOptions, nonce uint64, fp checkpoint.Fingerprint) (workerLink, error) {
+// initialJoin retries the join for up to JoinWait as long as failures stay
+// transient: the coordinator may not be listening yet. A refusal (wrong
+// fingerprint, rank taken) is final and returns at once.
+func initialJoin(ctx context.Context, opts WorkerOptions, fp checkpoint.Fingerprint) (workerLink, error) {
 	jw := opts.JoinWait
 	if jw <= 0 {
 		jw = 2 * time.Minute
 	}
 	joinCtx, cancel := context.WithTimeout(ctx, jw)
 	defer cancel()
-	bo := opts.RTO.New()
+	var bo distnet.Backoff
 	for {
-		link, err := join(joinCtx, opts, nonce, fp, bo)
+		link, err := join(joinCtx, opts, fp)
 		if err == nil {
 			return link, nil
 		}
@@ -239,21 +210,21 @@ func initialJoin(ctx context.Context, opts WorkerOptions, nonce uint64, fp check
 // until the coordinator declares the run complete (nil), aborts it (error),
 // or falls silent past its own granted lease — in which case the worker
 // aborts with a *net.PeerDownError rather than computing on in a minority
-// partition. Reconnects with backoff on connection loss, replaying unacked
-// frames, for as long as the lease holds.
+// partition. A lost connection ends the worker with its *net.TransportError:
+// the connection is the incarnation, and the coordinator recovers the rank
+// with a replacement.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.G == nil {
 		return fmt.Errorf("dist: worker needs a graph")
 	}
 	fp := checkpoint.GraphFingerprint(opts.G)
-	nonce := workerNonce()
-	link, err := initialJoin(ctx, opts, nonce, fp)
+	link, err := initialJoin(ctx, opts, fp)
 	if err != nil {
 		return err
 	}
-	w := link.welcome
+	conn, w := link.conn, link.welcome
 	if w.K < 1 || w.Rank < 0 || w.Rank >= w.K {
-		_ = link.conn.Close()
+		_ = conn.Close()
 		return &ProtoError{Frame: "welcome", Reason: fmt.Sprintf("rank %d of %d", w.Rank, w.K)}
 	}
 	if opts.OnAttach != nil {
@@ -273,12 +244,15 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		lease = 2 * hb
 	}
 
-	sess := distnet.NewSession(distnet.SessionConfig{RTO: opts.RTO})
-	defer func() { _ = sess.Close() }()
-	sess.Attach(link.conn)
-
+	// One deferred teardown, in this order: stop the helpers, close the
+	// connection, then wait for them, so a finished worker returns at once.
 	runCtx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
+	var wg sync.WaitGroup
+	defer func() {
+		cancel(nil)
+		_ = conn.Close()
+		wg.Wait()
+	}()
 
 	// lastHeard is the lease clock: any frame from the coordinator renews it.
 	// The watchdog goroutine aborts the run when the lease expires — the
@@ -298,17 +272,15 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		return time.Since(lastHeard)
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(3)
-	defer wg.Wait()
-
+	wg.Add(2)
 	go func() { // heartbeats keep the coordinator's failure detector fed
 		defer wg.Done()
-		distnet.Heartbeat(runCtx, sess, fHB, hb)
+		distnet.Heartbeat(runCtx, conn, fHB, hb)
 	}()
 
-	go func() { // lease watchdog
+	go func() { // lease watchdog; closing the conn unblocks the step loop's Recv
 		defer wg.Done()
+		defer func() { _ = conn.Close() }()
 		t := time.NewTicker(hb)
 		defer t.Stop()
 		for {
@@ -324,39 +296,14 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		}
 	}()
 
-	go func() { // redial on connection loss, same nonce → session replay
-		defer wg.Done()
-		bo := opts.RTO.New()
-		reopts := opts
-		reopts.Rank = int(w.Rank)
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-sess.Detached():
-			}
-			link, err := join(runCtx, reopts, nonce, fp, bo)
-			if err != nil {
-				if runCtx.Err() != nil {
-					return
-				}
-				if transientErr(err) {
-					// Lossy handshake or coordinator mid-restart: keep
-					// trying; the lease watchdog bounds how long.
-					continue
-				}
-				// The coordinator refused (rank reassigned, protocol error):
-				// this incarnation is finished.
-				cancel(err)
-				return
-			}
-			sess.Attach(link.conn)
-			heard()
-			if opts.OnAttach != nil {
-				opts.OnAttach(int(w.Rank))
-			}
+	// ended prefers the reason the run was stopped (lease expiry, ctx) over
+	// the I/O error that stopping it caused.
+	ended := func(err error) error {
+		if cause := context.Cause(runCtx); cause != nil {
+			return cause
 		}
-	}()
+		return err
+	}
 
 	// Telemetry is entirely optional: with a nil Recorder the step loop below
 	// is byte-for-byte the pre-telemetry path (shipper stays nil, every hook
@@ -371,27 +318,24 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	epoch := w.Epoch
 	var doneBuf []byte
 	for {
-		m, err := sess.Recv(runCtx)
+		typ, payload, err := conn.Recv()
 		if err != nil {
-			if cause := context.Cause(runCtx); cause != nil && cause != runCtx.Err() {
-				return cause
-			}
-			return err
+			return ended(err)
 		}
 		heard()
-		switch m.Type {
+		switch typ {
 		case fHB:
 			// lease renewal only
 		case fDone:
 			return nil
 		case fAbort:
-			reason, derr := decodeAbort(m.Payload)
+			reason, derr := decodeAbort(payload)
 			if derr != nil {
 				return derr
 			}
 			return fmt.Errorf("dist: coordinator aborted run: %s", reason) //lint:ignore hotpath-alloc abort exit of the step loop
 		case fStep:
-			f, err := decodeStep(m.Payload)
+			f, err := decodeStep(payload)
 			if err != nil {
 				return err
 			}
@@ -418,16 +362,16 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			}
 			doneBuf = encodeStepDone(doneBuf, done)
 			clearOutboxes(r) // done.Out aliases r.out; encoded, so safe to reset
-			if err := sess.Send(fStepDone, doneBuf); err != nil {
-				return err
+			if err := conn.Send(fStepDone, doneBuf); err != nil {
+				return ended(err)
 			}
 			// Ship after the StepDone so telemetry never delays the barrier
 			// the coordinator is gathering; phase boundaries always flush.
 			if shipper != nil && (len(shipper.spans) >= telShipThreshold || f.Op == opReportMates) {
-				shipper.ship(sess, epoch)
+				shipper.ship(conn, epoch)
 			}
 		default:
-			return &ProtoError{Frame: "step", Reason: fmt.Sprintf("unexpected frame type %d", m.Type)} //lint:ignore hotpath-alloc protocol-violation exit, never taken on a healthy run
+			return &ProtoError{Frame: "step", Reason: fmt.Sprintf("unexpected frame type %d", typ)} //lint:ignore hotpath-alloc protocol-violation exit, never taken on a healthy run
 		}
 	}
 }

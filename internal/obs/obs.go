@@ -51,9 +51,7 @@ type RankStatus struct {
 	Rank             int   `json:"rank"`
 	Alive            bool  `json:"alive"`
 	ClockOffsetNS    int64 `json:"clock_offset_ns"`
-	Reconnects       int64 `json:"reconnects"`
 	Deaths           int64 `json:"deaths"`
-	Retransmits      int64 `json:"retransmits"`
 	SpansIngested    int64 `json:"spans_ingested"`
 	SpansDropped     int64 `json:"spans_dropped"`
 	Steps            int64 `json:"steps"`
