@@ -1,12 +1,11 @@
 // Command graftlint runs the repo's static analysis suite
 // (internal/analysis) over the module and reports findings with
-// file:line diagnostics. Its eleven checks cover what neither go vet nor
+// file:line diagnostics. Its nine checks cover what neither go vet nor
 // go test -race catches: cache-line padding of per-worker state, context
 // propagation of the resilient entry points, error/panic hygiene,
 // goroutine/lock/WaitGroup flow rules, hot-path allocation, and the
-// value-flow tier over the wire protocol (exhaustive frame dispatch,
-// socket-deadline hygiene, bounded decode allocations, cancellable
-// goroutine channel ops).
+// protocol rules of the distributed runtime (exhaustive frame dispatch,
+// cancellable goroutine channel ops).
 //
 // Usage:
 //

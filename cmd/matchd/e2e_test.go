@@ -139,9 +139,9 @@ func (p *matchdProc) post(t *testing.T, path, body string) (int, http.Header, []
 	return resp.StatusCode, resp.Header, data
 }
 
-// waitForActive polls /instances until the interactive class shows at least
-// want busy compute slots.
-func waitForActive(t *testing.T, p *matchdProc, want int64) {
+// waitForAdmitted polls /instances until the interactive class has admitted
+// at least want requests: busy compute slots plus requests queued for one.
+func waitForAdmitted(t *testing.T, p *matchdProc, want int64) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {
 		resp, err := http.Get(p.base + "/instances")
@@ -152,11 +152,12 @@ func waitForActive(t *testing.T, p *matchdProc, want int64) {
 				Admission []struct {
 					Class  string `json:"class"`
 					Active int64  `json:"active"`
+					Queued int64  `json:"queued"`
 				} `json:"admission"`
 			}
 			if json.Unmarshal(data, &listing) == nil {
 				for _, c := range listing.Admission {
-					if c.Class == "interactive" && c.Active >= want {
+					if c.Class == "interactive" && c.Active+c.Queued >= want {
 						return
 					}
 				}
@@ -164,7 +165,7 @@ func waitForActive(t *testing.T, p *matchdProc, want int64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("compute slots never became busy")
+	t.Fatalf("fewer than %d requests were ever admitted", want)
 }
 
 // writeRegistry builds the fixture registry: "fast" is small, "slow" is big
@@ -348,9 +349,10 @@ func TestMatchdE2ESoak(t *testing.T) {
 			inFlight <- code
 		}()
 	}
-	// Signal only once both compute slots are demonstrably busy, so the
-	// drain provably overlaps admitted work.
-	waitForActive(t, p, 2)
+	// Signal only once all four are admitted (both compute slots busy, the
+	// other two queued), so the drain provably overlaps admitted work and
+	// no cohort request can arrive after it began.
+	waitForAdmitted(t, p, cohort)
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

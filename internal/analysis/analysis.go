@@ -38,8 +38,6 @@ func Checks() []Check {
 		WGBalance(),
 		HotPathAlloc(),
 		ProtoExhaustive(),
-		DeadlineDiscipline(),
-		BoundedDecode(),
 		CtxSelect(),
 	}
 }

@@ -30,8 +30,6 @@ var fixtureCases = []struct {
 	{"wgbalance", []string{"wg-balance"}, analysis.Config{}},
 	{"hotpathalloc", []string{"hotpath-alloc"}, analysis.Config{HotPackages: []string{"pos", "neg"}}},
 	{"protoexhaustive", []string{"proto-exhaustive"}, analysis.Config{}},
-	{"deadlinediscipline", []string{"deadline-discipline"}, analysis.Config{}},
-	{"boundeddecode", []string{"bounded-decode"}, analysis.Config{}},
 	{"ctxselect", []string{"ctx-select"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"suppress", nil, analysis.Config{}},
 }
@@ -150,7 +148,7 @@ func TestCheckNames(t *testing.T) {
 	want := []string{
 		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
 		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
-		"deadline-discipline", "bounded-decode", "ctx-select",
+		"ctx-select",
 	}
 	got := analysis.CheckNames()
 	if len(got) != len(want) {

@@ -3,7 +3,8 @@
 // depend on and that neither go vet nor the race detector checks: cache-line
 // padding of per-worker state, context discipline of the resilient entry
 // points, error/panic hygiene, goroutine/lock/WaitGroup flow rules, hot-path
-// allocation, and the value-flow rules over the wire protocol. It is built
+// allocation, and exhaustive frame dispatch and cancellable channel ops in
+// the distributed runtime. It is built
 // entirely on the standard library (go/parser, go/ast, go/types, go/token,
 // go/importer) so the lint wall needs nothing the toolchain does not
 // already ship.

@@ -180,7 +180,7 @@ func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.data) {
+	if n < 0 || n > len(d.data)-d.off {
 		d.err = fmt.Errorf("truncated at offset %d (need %d more bytes)", d.off, n)
 		return nil
 	}
@@ -269,15 +269,17 @@ func Decode(data []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// mates reads n int32 mate entries.
+// mates reads n int32 mate entries. n is held against the bytes left before
+// it is multiplied, so a hostile count cannot wrap 4*n on a 32-bit int.
 func (d *decoder) mates(n int) []int32 {
 	if d.err != nil || n < 0 {
 		return nil
 	}
-	b := d.take(4 * n)
-	if b == nil {
+	if n > (len(d.data)-d.off)/4 {
+		d.err = fmt.Errorf("truncated at offset %d (need %d more bytes)", d.off, 4*int64(n))
 		return nil
 	}
+	b := d.take(4 * n)
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))

@@ -36,21 +36,13 @@ type ClusterOptions struct {
 	// 8× Heartbeat.
 	Lease time.Duration
 
-	// RejoinWait bounds how long a recovery waits for the replacement worker
-	// to dial in before the run fails; it also bounds the wait for the
-	// initial K joins at Run. 0 means 30s.
-	RejoinWait time.Duration
-
 	// HandshakeTimeout bounds one raw Hello/Welcome exchange; 0 means 10s.
 	HandshakeTimeout time.Duration
-
-	// MaxRecoveries bounds rank-death recoveries per run; 0 means 8.
-	MaxRecoveries int
 
 	// Respawn, when non-nil, is called on the driver goroutine when a rank
 	// is declared dead; it must arrange for a replacement worker to dial in
 	// requesting that rank (exec a process, start a goroutine). When nil the
-	// coordinator still waits RejoinWait for an externally supervised
+	// coordinator still waits rejoinWait (30s) for an externally supervised
 	// replacement.
 	Respawn func(rank int) error
 
@@ -72,6 +64,14 @@ type ClusterOptions struct {
 	OnPhase func(phase, cardinality int64)
 }
 
+// rejoinWait bounds how long a recovery waits for the replacement worker to
+// dial in before the run fails; it also bounds the wait for the initial K
+// joins at Run.
+const rejoinWait = 30 * time.Second
+
+// maxRecoveries bounds rank-death recoveries per run.
+const maxRecoveries = 8
+
 func (o ClusterOptions) withDefaults() ClusterOptions {
 	if o.Ranks < 1 {
 		o.Ranks = 1
@@ -88,14 +88,8 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	if o.Lease < 2*o.Heartbeat {
 		o.Lease = 2 * o.Heartbeat
 	}
-	if o.RejoinWait <= 0 {
-		o.RejoinWait = 30 * time.Second
-	}
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = helloTimeout
-	}
-	if o.MaxRecoveries <= 0 {
-		o.MaxRecoveries = 8
 	}
 	return o
 }
@@ -693,10 +687,10 @@ func (c *Coordinator) Run(ctx context.Context, m *matching.Matching) (ClusterSta
 	return c.stats, err
 }
 
-// awaitCluster waits (up to RejoinWait) for all K ranks to have joined, so a
+// awaitCluster waits (up to rejoinWait) for all K ranks to have joined, so a
 // straggling first join reads as startup, not as a rank death to recover.
 func (c *Coordinator) awaitCluster(ctx context.Context) error {
-	deadline := time.Now().Add(c.opts.RejoinWait)
+	deadline := time.Now().Add(rejoinWait)
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -710,7 +704,7 @@ func (c *Coordinator) awaitCluster(ctx context.Context) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: %d of %d ranks joined within %v", joined, c.part.K, c.opts.RejoinWait) //lint:ignore hotpath-alloc error exit of a 10ms-tick wait loop
+			return fmt.Errorf("dist: %d of %d ranks joined within %v", joined, c.part.K, rejoinWait) //lint:ignore hotpath-alloc error exit of a 10ms-tick wait loop
 		}
 		select {
 		case <-ctx.Done():
@@ -734,8 +728,8 @@ func (c *Coordinator) drive(ctx context.Context) error {
 		if !asRankDead(err, &rd) || ctx.Err() != nil {
 			return err
 		}
-		if c.stats.Recoveries >= int64(c.opts.MaxRecoveries) {
-			return fmt.Errorf("dist: recovery budget (%d) exhausted: %w", c.opts.MaxRecoveries, err) //lint:ignore hotpath-alloc error exit; the loop body is an entire epoch
+		if c.stats.Recoveries >= maxRecoveries {
+			return fmt.Errorf("dist: recovery budget (%d) exhausted: %w", maxRecoveries, err)
 		}
 		if rerr := c.recoverRank(ctx, rd.rank); rerr != nil {
 			return fmt.Errorf("dist: recovering rank %d: %w", rd.rank, rerr) //lint:ignore hotpath-alloc error exit; the loop body is an entire epoch
@@ -787,7 +781,7 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 		}
 	}
 
-	deadline := time.Now().Add(c.opts.RejoinWait)
+	deadline := time.Now().Add(rejoinWait)
 	tick := time.NewTicker(c.opts.Heartbeat / 2)
 	defer tick.Stop()
 	for {
@@ -798,7 +792,7 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("replacement for rank %d did not join within %v", rank, c.opts.RejoinWait) //lint:ignore hotpath-alloc error exit of a heartbeat-tick wait loop
+			return fmt.Errorf("replacement for rank %d did not join within %v", rank, rejoinWait) //lint:ignore hotpath-alloc error exit of a heartbeat-tick wait loop
 		}
 		select {
 		case <-ctx.Done():

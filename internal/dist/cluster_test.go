@@ -531,3 +531,54 @@ func TestWorkerExitsWithRun(t *testing.T) {
 		}
 	}
 }
+
+// TestHandshakeDeadlineDisarmed: the tight handshake read deadline must come
+// off both ends of a connection once the Welcome is through. The handshake
+// timeout (100ms) is shorter than the heartbeat (400ms), and the second
+// worker joins 600ms after the first, so the first rank's connection sits
+// between heartbeats longer than the handshake timeout before the run
+// starts. A read deadline left armed on either side fires there and kills
+// the rank.
+func TestHandshakeDeadlineDisarmed(t *testing.T) {
+	const handshake = 100 * time.Millisecond
+	g := gen.ER(200, 200, 800, 4)
+	c, err := NewCoordinator(g, "127.0.0.1:0", ClusterOptions{
+		Ranks:            2,
+		Grafting:         true,
+		Heartbeat:        400 * time.Millisecond,
+		HandshakeTimeout: handshake,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for _, delay := range []time.Duration{0, 600 * time.Millisecond} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			time.Sleep(delay)
+			errs <- RunWorker(ctx, WorkerOptions{Addr: c.Addr(), Rank: -1, G: g, HandshakeTimeout: handshake})
+		}()
+	}
+	s, err := c.Run(ctx, matching.New(g.NX(), g.NY()))
+	if err != nil {
+		cancel()
+	}
+	wg.Wait()
+	close(errs)
+	if err != nil {
+		t.Errorf("cluster run: %v", err)
+	}
+	for e := range errs {
+		if e != nil {
+			t.Errorf("worker: %v", e)
+		}
+	}
+	if s.RankDeaths != 0 {
+		t.Errorf("%d rank deaths, want 0", s.RankDeaths)
+	}
+}

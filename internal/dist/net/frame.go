@@ -28,10 +28,13 @@ func readFrame(r io.Reader, lim Limits, buf []byte) (typ byte, payload, newBuf [
 		return 0, nil, buf, err
 	}
 	typ = hdr[0]
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
-	if n > lim.maxFrame() {
-		return 0, nil, buf, &FrameError{Reason: "payload exceeds frame limit", Size: n}
+	// Compared in int64: on a 32-bit platform int(n) of a length with the
+	// top bit set is negative and would pass the limit.
+	size := int64(binary.BigEndian.Uint32(hdr[1:]))
+	if size > int64(lim.maxFrame()) {
+		return 0, nil, buf, &FrameError{Reason: "payload exceeds frame limit", Size: size}
 	}
+	n := int(size)
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}

@@ -50,7 +50,7 @@ func (l Limits) maxFrame() int {
 // the connection must be torn down.
 type FrameError struct {
 	Reason string
-	Size   int // declared payload size, when the error is about size
+	Size   int64 // declared payload size, when the error is about size
 }
 
 func (e *FrameError) Error() string {

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -77,6 +78,12 @@ func TestOversizedFrameRejectedTyped(t *testing.T) {
 	}
 	if fe.Size != 64 {
 		t.Fatalf("FrameError.Size = %d, want 64", fe.Size)
+	}
+	// A declared length with the top bit set is rejected the same way, not
+	// read as a negative int on a 32-bit platform.
+	hostile := []byte{1, 0xf0, 0, 0, 0}
+	if _, _, _, err := readFrame(bytes.NewReader(hostile), Limits{MaxFrame: 16}, nil); !errors.As(err, &fe) {
+		t.Fatalf("length 0xf0000000: got %v, want *FrameError", err)
 	}
 }
 

@@ -354,16 +354,24 @@ func (r *pr) u64() uint64 {
 func (r *pr) i32() int32 { return int32(r.u32()) }
 func (r *pr) i64() int64 { return int64(r.u64()) }
 
-func (r *pr) i32s() []int32 {
-	n := int(r.u32())
+// fits reports whether n elements of size bytes each fit in the rest of the
+// frame, and fails the frame with why when they do not. The product is taken
+// in uint64, so a hostile count can neither turn negative nor wrap on a
+// 32-bit int.
+func (r *pr) fits(n uint32, size uint64, why string) bool {
 	if r.bad {
-		return nil
+		return false
 	}
-	if len(r.b)-r.off < 4*n {
-		r.fail("element count exceeds frame")
-		return nil
+	if uint64(n)*size > uint64(len(r.b)-r.off) {
+		r.fail(why)
+		return false
 	}
-	if n == 0 {
+	return true
+}
+
+func (r *pr) i32s() []int32 {
+	n := r.u32()
+	if !r.fits(n, 4, "element count exceeds frame") || n == 0 {
 		return nil
 	}
 	out := make([]int32, n)
@@ -374,15 +382,8 @@ func (r *pr) i32s() []int32 {
 }
 
 func (r *pr) msgs() []message {
-	n := int(r.u32())
-	if r.bad {
-		return nil
-	}
-	if len(r.b)-r.off < 13*n {
-		r.fail("message count exceeds frame")
-		return nil
-	}
-	if n == 0 {
+	n := r.u32()
+	if !r.fits(n, 13, "message count exceeds frame") || n == 0 {
 		return nil
 	}
 	out := make([]message, n)
@@ -488,14 +489,11 @@ func decodeTelemetry(b []byte) (telemetryFrame, error) {
 		Steps:   r.i64(),
 		MsgsOut: r.i64(),
 	}
-	n := int(r.u32())
+	n := r.u32()
 	if !r.bad && n > maxTelSpans {
 		r.fail("span count exceeds cap")
 	}
-	if !r.bad && len(r.b)-r.off < telSpanBytes*n {
-		r.fail("span count exceeds frame")
-	}
-	if !r.bad && n > 0 {
+	if r.fits(n, telSpanBytes, "span count exceeds frame") && n > 0 {
 		f.Spans = make([]telSpan, n)
 		for i := range f.Spans {
 			f.Spans[i] = telSpan{Op: r.u8(), Start: r.i64(), Dur: r.i64(), Arg: r.i64()}
@@ -506,14 +504,11 @@ func decodeTelemetry(b []byte) (telemetryFrame, error) {
 
 func decodeAbort(b []byte) (string, error) {
 	r := newPR("abort", b)
-	n := int(r.u32())
-	if !r.bad && len(r.b)-r.off < n {
-		r.fail("reason length exceeds frame")
-	}
-	if r.bad {
+	n := r.u32()
+	if !r.fits(n, 1, "reason length exceeds frame") {
 		return "", r.finish()
 	}
-	reason := string(r.b[r.off : r.off+n])
-	r.off += n
+	reason := string(r.b[r.off : r.off+int(n)])
+	r.off += int(n)
 	return reason, r.finish()
 }
