@@ -49,7 +49,7 @@ func BenchmarkHotLoopAllocs(b *testing.B) {
 	// few percent.
 	b.Run("Graft-live-recorder", func(b *testing.B) {
 		b.ReportAllocs()
-		rec := obs.New(obs.Config{Workers: p})
+		rec := obs.New(obs.Config{})
 		b.ResetTimer() // recorder construction (the span ring) is one-time, not per-run cost
 		for i := 0; i < b.N; i++ {
 			_ = exps.RunWith(exps.AlgoGraft, g, p, rec)

@@ -57,23 +57,18 @@ func run(args []string, w *os.File) error {
 		return fmt.Errorf("expected a graph file or -suite NAME")
 	}
 
-	algo, ok := map[string]graftmatch.Algorithm{
-		"msbfsgraft": graftmatch.MSBFSGraft,
-		"msbfs":      graftmatch.MSBFS,
-		"diropt":     graftmatch.MSBFSDirOpt,
-	}[strings.ToLower(*algoName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q (matchtrace supports the MS-BFS family)", *algoName)
+	algo, err := graftmatch.ParseAlgorithm(*algoName)
+	if err != nil {
+		return err
 	}
-	initz, ok := map[string]graftmatch.Initializer{
-		"ks":      graftmatch.KarpSipser,
-		"greedy":  graftmatch.Greedy,
-		"pgreedy": graftmatch.ParallelGreedy,
-		"pks":     graftmatch.ParallelKarpSipser,
-		"none":    graftmatch.NoInit,
-	}[strings.ToLower(*initName)]
-	if !ok {
-		return fmt.Errorf("unknown initializer %q", *initName)
+	switch algo {
+	case graftmatch.MSBFSGraft, graftmatch.MSBFS, graftmatch.MSBFSDirOpt:
+	default:
+		return fmt.Errorf("algorithm %q: matchtrace supports the MS-BFS family (msbfsgraft, msbfs, diropt)", *algoName)
+	}
+	initz, err := graftmatch.ParseInitializer(*initName)
+	if err != nil {
+		return err
 	}
 
 	res, err := graftmatch.Match(g, graftmatch.Options{

@@ -143,10 +143,6 @@ func runDistWorker(cfg distRunConfig) error {
 		OnAttach: func(rank int) {
 			fmt.Fprintf(os.Stderr, "dist: attached to %s as rank %d\n", cfg.flags.join, rank)
 		},
-		// A worker always keeps a small local recorder: it feeds the
-		// telemetry shipper, so the coordinator's /trace shows a process
-		// lane for this rank even though the worker serves no HTTP itself.
-		Recorder: graftmatch.NewRecorder(graftmatch.RecorderConfig{Workers: 1, TraceCapacity: 4096}),
 	}
 	if err := dist.RunWorker(context.Background(), opts); err != nil {
 		return fmt.Errorf("worker: %w", err)
@@ -240,7 +236,7 @@ func runDistCoordinator(cfg distRunConfig) error {
 
 	var rec *graftmatch.Recorder
 	if cfg.obsAddr != "" {
-		rec = graftmatch.NewRecorder(graftmatch.RecorderConfig{Workers: df.ranks})
+		rec = graftmatch.NewRecorder(graftmatch.RecorderConfig{})
 		stop, err := serveObs(cfg.obsAddr, rec)
 		if err != nil {
 			return err

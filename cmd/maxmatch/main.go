@@ -53,7 +53,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"graftmatch"
@@ -69,25 +68,6 @@ var errPartial = errors.New("timeout reached: matching is partial (valid and res
 // to exit status 4 so callers can distinguish "recompute from scratch is the
 // only option" from an ordinary failure.
 var errCheckpoint = errors.New("checkpoint unusable")
-
-var algoByName = map[string]graftmatch.Algorithm{
-	"msbfsgraft": graftmatch.MSBFSGraft,
-	"msbfs":      graftmatch.MSBFS,
-	"diropt":     graftmatch.MSBFSDirOpt,
-	"pf":         graftmatch.PothenFan,
-	"pr":         graftmatch.PushRelabel,
-	"hk":         graftmatch.HopcroftKarp,
-	"ssbfs":      graftmatch.SSBFS,
-	"ssdfs":      graftmatch.SSDFS,
-}
-
-var initByName = map[string]graftmatch.Initializer{
-	"ks":      graftmatch.KarpSipser,
-	"greedy":  graftmatch.Greedy,
-	"pgreedy": graftmatch.ParallelGreedy,
-	"pks":     graftmatch.ParallelKarpSipser,
-	"none":    graftmatch.NoInit,
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -143,20 +123,20 @@ func run(args []string) error {
 			obsAddr:    *obsAddr,
 		})
 	}
-	algo, ok := algoByName[strings.ToLower(*algoName)]
-	if !ok {
-		return fmt.Errorf("unknown algorithm %q", *algoName)
+	algo, err := graftmatch.ParseAlgorithm(*algoName)
+	if err != nil {
+		return err
 	}
-	initz, ok := initByName[strings.ToLower(*initName)]
-	if !ok {
-		return fmt.Errorf("unknown initializer %q", *initName)
+	initz, err := graftmatch.ParseInitializer(*initName)
+	if err != nil {
+		return err
 	}
 
 	// The observability surface comes up before graph loading so a scraper
 	// can attach while a large instance is still parsing.
 	var rec *graftmatch.Recorder
 	if *obsAddr != "" {
-		rec = graftmatch.NewRecorder(graftmatch.RecorderConfig{Workers: *threads})
+		rec = graftmatch.NewRecorder(graftmatch.RecorderConfig{})
 		stop, err := serveObs(*obsAddr, rec)
 		if err != nil {
 			return err

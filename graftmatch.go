@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"graftmatch/internal/bipartite"
@@ -62,14 +63,15 @@ type Stats = matching.Stats
 // Decomposition is a Dulmage–Mendelsohn / block-triangular decomposition.
 type Decomposition = dmperm.Decomposition
 
-// Recorder is the live observability hub: a lock-free per-worker metrics
-// registry, a bounded span tracer, and a run-status snapshot. Pass one via
-// Options.Recorder to observe a run; serve it with ObsHandler. A nil
-// *Recorder (the default) is a no-op that costs the engines nothing.
+// Recorder is the live observability hub: a registry of atomic counters,
+// gauges and histograms, a bounded span tracer, and a run-status snapshot.
+// Pass one via Options.Recorder to observe a run; serve it with
+// ObsHandler. A nil *Recorder (the default) is a no-op that costs the
+// engines nothing.
 type Recorder = obs.Recorder
 
-// RecorderConfig sizes a Recorder; the zero value means GOMAXPROCS worker
-// slots and a 16384-span trace ring.
+// RecorderConfig sizes a Recorder's span ring; the zero value means 16384
+// spans.
 type RecorderConfig = obs.Config
 
 // NewRecorder builds a live Recorder.
@@ -183,6 +185,51 @@ const (
 	// deterministic across thread counts.
 	ParallelKarpSipser
 )
+
+// algorithmNames and initializerNames are the one name vocabulary of the
+// command-line tools and matchd's requests; the empty name is the default.
+var algorithmNames = map[string]Algorithm{
+	"":           MSBFSGraft,
+	"msbfsgraft": MSBFSGraft,
+	"msbfs":      MSBFS,
+	"diropt":     MSBFSDirOpt,
+	"pf":         PothenFan,
+	"pr":         PushRelabel,
+	"hk":         HopcroftKarp,
+	"ssbfs":      SSBFS,
+	"ssdfs":      SSDFS,
+}
+
+var initializerNames = map[string]Initializer{
+	"":        KarpSipser,
+	"ks":      KarpSipser,
+	"greedy":  Greedy,
+	"pgreedy": ParallelGreedy,
+	"pks":     ParallelKarpSipser,
+	"none":    NoInit,
+}
+
+// ParseAlgorithm maps a short algorithm name, case-insensitive, to its
+// Algorithm: msbfsgraft, msbfs, diropt, pf, pr, hk, ssbfs or ssdfs. The
+// empty name is the default, MSBFSGraft.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	a, ok := algorithmNames[strings.ToLower(name)]
+	if !ok {
+		return 0, fmt.Errorf("graftmatch: unknown algorithm %q", name)
+	}
+	return a, nil
+}
+
+// ParseInitializer maps a short initializer name, case-insensitive, to its
+// Initializer: ks (Karp–Sipser), greedy, pgreedy, pks or none. The empty
+// name is the default, KarpSipser.
+func ParseInitializer(name string) (Initializer, error) {
+	i, ok := initializerNames[strings.ToLower(name)]
+	if !ok {
+		return 0, fmt.Errorf("graftmatch: unknown initializer %q", name)
+	}
+	return i, nil
+}
 
 // Options configures Match. The zero value selects the paper's defaults:
 // MS-BFS-Graft, Karp–Sipser initialization, GOMAXPROCS threads, α = 5.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graftmatch/internal/exps"
@@ -168,6 +169,48 @@ func TestAlgorithmString(t *testing.T) {
 	}
 	if Algorithm(99).String() != "Algorithm(99)" {
 		t.Fatalf("unexpected name %q", Algorithm(99).String())
+	}
+}
+
+// TestParseNames pins the one name vocabulary the tools and matchd share:
+// every algorithm and initializer has a name, parsing ignores case, the
+// empty name is the default, and unknown names are errors.
+func TestParseNames(t *testing.T) {
+	namedA := map[Algorithm]bool{}
+	for name, want := range algorithmNames {
+		if got, err := ParseAlgorithm(strings.ToUpper(name)); err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", strings.ToUpper(name), got, err, want)
+		}
+		namedA[want] = true
+	}
+	for _, alg := range allAlgorithms {
+		if !namedA[alg] {
+			t.Errorf("%v has no name", alg)
+		}
+	}
+	namedI := map[Initializer]bool{}
+	for name, want := range initializerNames {
+		if got, err := ParseInitializer(strings.ToUpper(name)); err != nil || got != want {
+			t.Errorf("ParseInitializer(%q) = %v, %v; want %v", strings.ToUpper(name), got, err, want)
+		}
+		namedI[want] = true
+	}
+	for _, init := range []Initializer{KarpSipser, Greedy, ParallelGreedy, NoInit, ParallelKarpSipser} {
+		if !namedI[init] {
+			t.Errorf("initializer %d has no name", init)
+		}
+	}
+	if a, err := ParseAlgorithm(""); err != nil || a != MSBFSGraft {
+		t.Errorf(`ParseAlgorithm("") = %v, %v; want MS-BFS-Graft`, a, err)
+	}
+	if i, err := ParseInitializer(""); err != nil || i != KarpSipser {
+		t.Errorf(`ParseInitializer("") = %v, %v; want Karp-Sipser`, i, err)
+	}
+	if _, err := ParseAlgorithm("quantum"); err == nil {
+		t.Error("ParseAlgorithm accepted an unknown name")
+	}
+	if _, err := ParseInitializer("magic"); err == nil {
+		t.Error("ParseInitializer accepted an unknown name")
 	}
 }
 

@@ -71,9 +71,6 @@ func (g *Graph) XPtr() []int64 { return g.xptr }
 // XNbr exposes the raw X-side CSR adjacency for tight loops.
 func (g *Graph) XNbr() []int32 { return g.xnbr }
 
-// YPtr exposes the raw Y-side CSR offsets (len NY+1) for tight loops.
-func (g *Graph) YPtr() []int64 { return g.yptr }
-
 // YNbr exposes the raw Y-side CSR adjacency for tight loops.
 func (g *Graph) YNbr() []int32 { return g.ynbr }
 

@@ -270,7 +270,7 @@ func (e *engine) run() {
 					e.stats.FrontierTraceTruncated = true
 				}
 			}
-			e.met.frontier.Observe(0, fsize)
+			e.met.frontier.Observe(fsize)
 			if e.bottomUpTripped || e.useTopDown() {
 				t := time.Now()
 				e.topDown()
@@ -311,7 +311,7 @@ func (e *engine) run() {
 
 		e.stats.Phases++
 		card := e.cardinality()
-		e.met.phases.Add(0, 1)
+		e.met.phases.Add(1)
 		e.met.rec.Span("core", "phase", phaseStart, time.Since(phaseStart), card)
 		e.met.rec.PhaseDone(e.stats.Algorithm, e.stats.Phases, card)
 		if e.opts.OnPhase != nil {
@@ -571,7 +571,7 @@ func (e *engine) bottomUpSerial(r []int32) {
 func (e *engine) finishLevel() {
 	edges := e.edges.Sum()
 	e.stats.EdgesTraversed += edges
-	e.met.edges.Add(0, edges)
+	e.met.edges.Add(edges)
 	e.unvisitedY -= e.claims.Sum()
 	e.unvisitedYEdges -= e.claimedDeg.Sum()
 	e.edges.Reset()
@@ -614,7 +614,7 @@ func (e *engine) augment() int64 {
 	n := paths.Sum()
 	e.stats.AugPaths += n
 	e.stats.AugPathLen += lens.Sum()
-	e.met.paths.Add(0, n)
+	e.met.paths.Add(n)
 	return n
 }
 
@@ -697,7 +697,7 @@ func (e *engine) graftStep() {
 		}
 		e.finishLevel()
 		e.stats.Grafts++
-		e.met.grafts.Add(0, 1)
+		e.met.grafts.Add(1)
 		e.recordStep(matching.StepGraft, "graft", t, int64(len(renewable)))
 		return
 	}
@@ -726,6 +726,6 @@ func (e *engine) graftStep() {
 	e.unvisitedYEdges += activeDeg.Sum()
 	e.seedFrontierFromUnmatched()
 	e.stats.Rebuilds++
-	e.met.rebuilds.Add(0, 1)
+	e.met.rebuilds.Add(1)
 	e.recordStep(matching.StepGraft, "rebuild", t, int64(len(active)))
 }

@@ -54,6 +54,6 @@ func newMetrics(rec *obs.Recorder) metrics {
 func (e *engine) recordStep(step matching.Step, name string, start time.Time, arg int64) {
 	d := time.Since(start)
 	e.stats.AddStep(step, d)
-	e.met.steps[step].Add(0, int64(d))
+	e.met.steps[step].Add(int64(d))
 	e.met.rec.Span("core", name, start, d, arg)
 }

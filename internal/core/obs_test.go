@@ -36,7 +36,7 @@ func TestStepMetricNamesMatchSteps(t *testing.T) {
 // one phase of lag" acceptance criterion.
 func TestRecorderMatchesStats(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 42)
-	rec := obs.New(obs.Config{Workers: 4, TraceCapacity: 4096})
+	rec := obs.New(obs.Config{TraceCapacity: 4096})
 	m := matching.New(g.NX(), g.NY())
 	opts := FullOptions(4)
 	opts.Recorder = rec
@@ -110,7 +110,7 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	base := matching.New(g.NX(), g.NY())
 	baseStats := Run(g, base, FullOptions(2))
 
-	rec := obs.New(obs.Config{Workers: 2})
+	rec := obs.New(obs.Config{})
 	m := matching.New(g.NX(), g.NY())
 	opts := FullOptions(2)
 	opts.Recorder = rec

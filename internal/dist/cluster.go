@@ -54,9 +54,10 @@ type ClusterOptions struct {
 	// Limits bounds inbound frames; the zero value uses the package default.
 	Limits distnet.Limits
 
-	// Recorder, when non-nil, receives superstep/message counters plus the
-	// cluster health metrics (rank deaths, recoveries, recovery duration).
-	// Per-rank where the counter supports slots.
+	// Recorder, when non-nil, receives the superstep, message and phase
+	// counters, the cluster health metrics (rank deaths, recoveries,
+	// recovery duration), one span per rank per superstep on that rank's
+	// trace lane, and the per-rank /cluster snapshot at phase boundaries.
 	Recorder *obs.Recorder
 
 	// OnPhase, when non-nil, runs on the driver goroutine after every phase
@@ -100,7 +101,8 @@ type ClusterStats struct {
 	Stats
 
 	// Trace is the run's trace id (16-hex), minted at coordinator start and
-	// propagated to every rank in the Welcome; all shipped spans carry it.
+	// propagated to every rank in the Welcome; every span of the run
+	// carries it.
 	Trace string
 
 	// RankDeaths counts workers declared dead (a lost connection, an
@@ -140,16 +142,9 @@ type slot struct {
 	// plus stale leftovers across an epoch change.
 	frames chan stepDoneFrame
 
-	// Telemetry state under its own mutex: the pump goroutine writes it per
-	// fTelemetry frame, the /cluster exporter reads it at phase boundaries —
-	// never on the driver's gather path.
-	telMu      sync.Mutex
-	clockOff   int64 // coordinator recv clock − worker send clock (last handshake)
-	spansIn    int64 // spans ingested from this rank
-	spansDrop  int64 // spans the rank reported dropping at the source
-	telSteps   int64 // supersteps the rank reported executing
-	stepLatSum int64 // summed shipped step durations, ns
-	stepLatMax int64 // max shipped step duration, ns
+	// The rank's /cluster row, driver-owned: the driver folds in every
+	// gathered superstep and every death, and exports the row itself.
+	steps, latSum, latMax, deaths int64 // latSum and latMax in ns of compute
 }
 
 // fail marks the slot failed if conn is still its current connection. A
@@ -203,6 +198,7 @@ type Coordinator struct {
 	inboxes  [][]message
 	renewNew []int32
 	stepBuf  []byte
+	spans    []obs.Span // one rank span per slot; nil without a tracer
 	lastGood *matching.Matching
 
 	stats    ClusterStats
@@ -239,6 +235,9 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 	c.lifeCtx, c.lifeCancel = context.WithCancel(context.Background())
 	c.trace = obs.NewTraceID()
 	c.rec = opts.Recorder.WithTrace(c.trace)
+	if c.rec.Tracer() != nil {
+		c.spans = make([]obs.Span, c.part.K)
+	}
 	c.mSupersteps = c.rec.Counter("graftmatch_cluster_supersteps_total", "BSP superstep rounds broadcast to the cluster")
 	c.mMessages = c.rec.Counter("graftmatch_cluster_messages_total", "point-to-point messages routed plus collective broadcast volume")
 	c.mPhases = c.rec.Counter("graftmatch_cluster_phases_total", "completed distributed search phases")
@@ -335,15 +334,6 @@ func (c *Coordinator) handshake(raw gonet.Conn) {
 		refuse("coordinator closed")
 		return
 	}
-	if h.SentAt != 0 {
-		// Clock-offset estimate: receive time minus the worker's send stamp.
-		// One-way latency biases it by the network delay, which is orders of
-		// magnitude below the superstep durations the offset aligns.
-		off := time.Now().UnixNano() - h.SentAt
-		s.telMu.Lock()
-		s.clockOff = off
-		s.telMu.Unlock()
-	}
 	welcome := encodeWelcome(welcomeFrame{
 		Rank:        int32(s.rank),
 		K:           int32(c.part.K),
@@ -417,21 +407,17 @@ func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 		case fHB:
 			// liveness only
 		case fStepDone:
+			arrived := time.Now().UnixNano()
 			f, err := decodeStepDone(payload, c.part.K)
 			if err != nil {
 				return // a garbled worker is a dead worker
 			}
+			f.Arrived = arrived
 			select {
 			case s.frames <- f:
 			case <-c.lifeCtx.Done():
 				return
 			}
-		case fTelemetry:
-			f, err := decodeTelemetry(payload)
-			if err != nil {
-				return // a garbled worker is a dead worker
-			}
-			c.ingestTelemetry(s, &f)
 		case fAbort:
 			return
 		default:
@@ -446,49 +432,9 @@ func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 	}
 }
 
-// ingestTelemetry merges one rank's shipped batch into the coordinator's
-// tracer (rank-tagged lane, clock-aligned starts) and the slot's telemetry
-// counters. Runs on the pump goroutine — the driver's phase loop never sees
-// telemetry at all.
-func (c *Coordinator) ingestTelemetry(s *slot, f *telemetryFrame) {
-	s.telMu.Lock()
-	off := s.clockOff
-	s.spansIn += int64(len(f.Spans))
-	s.spansDrop = int64(f.Dropped)
-	s.telSteps += f.Steps
-	for i := range f.Spans {
-		if d := f.Spans[i].Dur; d > s.stepLatMax {
-			s.stepLatMax = d
-		}
-		s.stepLatSum += f.Spans[i].Dur
-	}
-	s.telMu.Unlock()
-	c.mMessages.Add(s.rank, f.MsgsOut)
-
-	tr := c.rec.Tracer()
-	if tr == nil || len(f.Spans) == 0 {
-		return
-	}
-	// Pump-side ingest: one slice per shipped batch (~64 supersteps), never
-	// on the driver loop, so this allocation is off every hot path.
-	spans := make([]obs.Span, len(f.Spans))
-	for i, ts := range f.Spans {
-		spans[i] = obs.Span{
-			Cat:   "rank",
-			Name:  opSpanName(ts.Op),
-			Start: ts.Start + off,
-			Dur:   ts.Dur,
-			Arg:   ts.Arg,
-			Lane:  int32(s.rank) + 1,
-			Trace: f.Trace,
-		}
-	}
-	tr.Ingest(spans)
-}
-
 // exportCluster publishes the per-rank snapshot behind /cluster: liveness,
-// clock offsets, the rank-indexed health counters, and the telemetry
-// aggregates the pumps accumulated. Called at phase boundaries and run end.
+// deaths, and the supersteps gathered from each rank with their compute
+// times. Called on the driver at phase boundaries and run end.
 func (c *Coordinator) exportCluster() {
 	if c.rec == nil {
 		return
@@ -502,18 +448,14 @@ func (c *Coordinator) exportCluster() {
 		UpdatedAt:  time.Now().UnixNano(),
 	}
 	for i, s := range c.slots {
-		rs := &cs.Ranks[i]
-		rs.Rank = i
-		rs.Alive = s.attached()
-		s.telMu.Lock()
-		rs.ClockOffsetNS = s.clockOff
-		rs.SpansIngested = s.spansIn
-		rs.SpansDropped = s.spansDrop
-		rs.Steps = s.telSteps
-		rs.StepLatencySumNS = s.stepLatSum
-		rs.StepLatencyMaxNS = s.stepLatMax
-		s.telMu.Unlock()
-		rs.Deaths = c.mDeaths.ValueAt(i)
+		cs.Ranks[i] = obs.RankStatus{
+			Rank:             i,
+			Alive:            s.attached(),
+			Deaths:           s.deaths,
+			Steps:            s.steps,
+			StepLatencySumNS: s.latSum,
+			StepLatencyMaxNS: s.latMax,
+		}
 	}
 	c.rec.SetCluster(cs)
 }
@@ -576,7 +518,7 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 		}
 	}
 	c.stats.Messages += int64(len(c.renewNew) * (c.part.K - 1))
-	c.mMessages.Add(0, int64(len(c.renewNew)*(c.part.K-1)))
+	c.mMessages.Add(int64(len(c.renewNew) * (c.part.K - 1)))
 	c.renewNew = c.renewNew[:0]
 
 	results := make([]stepDoneFrame, c.part.K)
@@ -587,6 +529,7 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 		}
 		results[rank] = f
 	}
+	c.noteRanks(op, results)
 
 	// Route: rank d's next inbox is the concatenation of out[s][d] in source
 	// order — the same deterministic alltoallv as the simulation.
@@ -603,9 +546,35 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 	}
 	c.stats.Supersteps++
 	c.stats.Messages += msgs
-	c.mSupersteps.Add(0, 1)
-	c.mMessages.Add(0, msgs)
+	c.mSupersteps.Add(1)
+	c.mMessages.Add(msgs)
 	return results, msgs, nil
+}
+
+// noteRanks folds one gathered superstep into every rank's /cluster row and,
+// with a tracer, records each rank's compute span on its lane. A span ends
+// when the rank's StepDone arrived and lasts the compute time the worker
+// reported, so every lane is on the coordinator's clock.
+func (c *Coordinator) noteRanks(op byte, results []stepDoneFrame) {
+	for rank := range results {
+		f := &results[rank]
+		s := c.slots[rank]
+		s.steps++
+		s.latSum += f.Dur
+		s.latMax = max(s.latMax, f.Dur)
+		if c.spans != nil {
+			c.spans[rank] = obs.Span{
+				Cat:   "rank",
+				Name:  opSpanName(op),
+				Start: f.Arrived - f.Dur,
+				Dur:   f.Dur,
+				Arg:   f.Info[0],
+				Lane:  int32(rank) + 1,
+				Trace: c.trace,
+			}
+		}
+	}
+	c.rec.Tracer().Ingest(c.spans)
 }
 
 // gather waits for rank's response to (epoch, ssid), discarding stale frames
@@ -760,11 +729,12 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 	began := time.Now()
 	c.stats.RankDeaths++
 	c.stats.Recoveries++
-	c.mDeaths.Add(rank, 1)
-	c.mRecoveries.Add(rank, 1)
+	c.mDeaths.Add(1)
+	c.mRecoveries.Add(1)
 	c.epoch.Add(1)
 
 	s := c.slots[rank]
+	s.deaths++
 	s.mu.Lock()
 	conn := s.conn
 	s.conn = nil
@@ -788,7 +758,7 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 		if s.attached() {
 			d := time.Since(began)
 			c.stats.RecoveryTime += d
-			c.mRecMilli.Add(rank, d.Milliseconds())
+			c.mRecMilli.Add(d.Milliseconds())
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -871,7 +841,7 @@ func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error
 		}
 	}
 
-	c.mPhases.Add(0, 1)
+	c.mPhases.Add(1)
 	c.exportCluster()
 	c.rec.Span("cluster", "phase", phaseStart, time.Since(phaseStart), card)
 	c.rec.PhaseDone(c.stats.Algorithm, c.stats.Phases, card)

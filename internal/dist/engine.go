@@ -269,8 +269,8 @@ func (e *Engine) exchange() int64 {
 	}
 	total := msgs + int64(len(e.allNew)*(e.part.K-1))
 	e.stats.Messages += total
-	e.mSupersteps.Add(0, 1)
-	e.mMessages.Add(0, total)
+	e.mSupersteps.Add(1)
+	e.mMessages.Add(total)
 	if e.rec != nil {
 		// One span per superstep: compute since the previous exchange plus
 		// this delivery, with the message volume as the argument. The nil
@@ -297,7 +297,7 @@ func (e *Engine) exchange() int64 {
 // matching a gather at this instant would see.
 func (e *Engine) phaseDone(_ context.Context, phaseStart time.Time) error {
 	card := e.stats.InitialCardinality + e.stats.AugPaths
-	e.mPhases.Add(0, 1)
+	e.mPhases.Add(1)
 	e.rec.Span("dist", "phase", phaseStart, time.Since(phaseStart), card)
 	e.rec.PhaseDone(e.stats.Algorithm, e.stats.Phases, card)
 	if e.opts.OnPhase != nil {

@@ -42,9 +42,6 @@ var frameCodecs = []struct {
 	{fAbort,
 		func(b []byte, _ int) (any, error) { return decodeAbort(b) },
 		func(v any) []byte { return encodeAbort(v.(string)) }},
-	{fTelemetry,
-		func(b []byte, _ int) (any, error) { return decodeTelemetry(b) },
-		func(v any) []byte { f := v.(telemetryFrame); return encodeTelemetry(nil, &f) }},
 }
 
 // FuzzDecodeFrame holds every cluster payload decoder to three things on any
@@ -66,32 +63,32 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	msgs := []message{{kind: 1, a: 2, b: -1, c: 40}, {kind: 3, a: 0, b: 7, c: 8}}
 	add(fHello, 1, encodeHello(helloFrame{
-		Version: protoVersion, Rank: -1, SentAt: 1234,
+		Version: protoVersion, Rank: -1,
 		FP: checkpoint.Fingerprint{NX: 10, NY: 12, NNZ: 40, AdjHash: 0xabc},
 	}))
 	add(fWelcome, 1, encodeWelcome(welcomeFrame{Rank: 1, K: 4, Epoch: 2, Trace: 0xdead, HBMillis: 500, LeaseMillis: 4000}))
 	add(fStep, 1, encodeStep(nil, &stepFrame{Epoch: 1, SSID: 9, Trace: 3, Op: opExpand, RenewNew: []int32{4, 7}, In: msgs}))
 	add(fStep, 1, encodeStep(nil, &stepFrame{Epoch: 2, SSID: 1, Op: opScatter, MateX: []int32{1, -1}, MateY: []int32{-1, 0, -1}}))
 	add(fStepDone, 2, encodeStepDone(nil, &stepDoneFrame{
-		Epoch: 1, SSID: 9, Op: opCensus, Info: [2]int64{5, -6},
+		Epoch: 1, SSID: 9, Op: opCensus, Info: [2]int64{5, -6}, Dur: 1500,
 		NewRenew: []int32{3}, Out: [][]message{msgs, nil},
 	}))
-	add(fStepDone, 1, encodeStepDone(nil, &stepDoneFrame{Op: opReportMates, Out: [][]message{nil}, MateX: []int32{0}, MateY: []int32{0}}))
+	add(fStepDone, 1, encodeStepDone(nil, &stepDoneFrame{Op: opReportMates, Dur: 1, Out: [][]message{nil}, MateX: []int32{0}, MateY: []int32{0}}))
 	add(fAbort, 1, encodeAbort("rank 3 died"))
-	add(fTelemetry, 1, encodeTelemetry(nil, &telemetryFrame{
-		Epoch: 1, Trace: 2, Dropped: 3, Steps: 4, MsgsOut: 5,
-		Spans: []telSpan{{Op: opSeed, Start: 10, Dur: 20, Arg: 30}, {Op: 0xff, Start: -1}},
-	}))
 
 	// Hostile counts that a 32-bit int used to mishandle: a negative
-	// reason length, 4*n wrapping past a RenewNew count of 0x40000001, and
-	// a span count of 0xFFFFFFFF with no spans behind it.
+	// reason length, 4*n wrapping past a RenewNew count of 0x40000001 on a
+	// Step and on a StepDone, and an outbox message count of 0xFFFFFFFF with
+	// no messages behind it.
 	add(fAbort, 1, []byte{0xf0, 0xff, 0xff, 0xff})
 	step := encodeStep(nil, &stepFrame{Op: opSeed})[:25]
 	step = binary.LittleEndian.AppendUint32(step, 0x40000001)
 	add(fStep, 1, append(step, 0, 0, 0, 0))
-	tel := encodeTelemetry(nil, &telemetryFrame{Epoch: 1})[:40]
-	add(fTelemetry, 1, binary.LittleEndian.AppendUint32(tel, 0xffffffff))
+	done := encodeStepDone(nil, &stepDoneFrame{Op: opSeed, Dur: 7})[:49:49]
+	add(fStepDone, 1, binary.LittleEndian.AppendUint32(done, 0x40000001))
+	done = binary.LittleEndian.AppendUint32(done, 0)
+	done = binary.LittleEndian.AppendUint32(done, 1)
+	add(fStepDone, 1, binary.LittleEndian.AppendUint32(done, 0xffffffff))
 
 	f.Fuzz(func(t *testing.T, sel, kb byte, payload []byte) {
 		c := frameCodecs[int(sel)%len(frameCodecs)]

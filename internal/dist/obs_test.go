@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"path/filepath"
 	"testing"
 
 	"graftmatch/internal/bipartite"
@@ -14,7 +15,7 @@ import (
 // per-superstep spans, and a status snapshot at the final phase.
 func TestRecorderMatchesStats(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 9)
-	rec := obs.New(obs.Config{Workers: 4, TraceCapacity: 65536})
+	rec := obs.New(obs.Config{TraceCapacity: 65536})
 	m := matching.New(g.NX(), g.NY())
 	s := RunRec(t, g, m, rec, Options{Ranks: 4, Grafting: true})
 
@@ -72,7 +73,7 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	base := matching.New(g.NX(), g.NY())
 	baseStats := Run(g, base, Options{Ranks: 4, Grafting: true})
 
-	rec := obs.New(obs.Config{Workers: 2})
+	rec := obs.New(obs.Config{})
 	m := matching.New(g.NX(), g.NY())
 	s := RunRec(t, g, m, rec, Options{Ranks: 4, Grafting: true})
 	if s.FinalCardinality != baseStats.FinalCardinality {
@@ -80,6 +81,61 @@ func TestRecorderDoesNotPerturbRun(t *testing.T) {
 	}
 	if s.Supersteps != baseStats.Supersteps {
 		t.Errorf("supersteps %d != %d", s.Supersteps, baseStats.Supersteps)
+	}
+}
+
+// TestClusterRecorderMatchesStats: a fault-free 4-rank cluster run with a
+// coordinator recorder puts one span per gathered superstep on every rank's
+// lane, so each lane holds exactly ClusterStats.Supersteps spans, the same
+// count as the rank's /cluster Steps, with the row's latency sum and max
+// taken from the same StepDone durations; and the cluster counters equal
+// the run's stats.
+func TestClusterRecorderMatchesStats(t *testing.T) {
+	g := gen.WebLike(11, 6, 0.30, 1)
+	rec := obs.New(obs.Config{TraceCapacity: 1 << 16})
+	opts := testClusterOpts()
+	opts.Recorder = rec
+	_, s := runCluster(t, g, filepath.Join(t.TempDir(), "graft.sock"), opts)
+
+	spans, dropped := rec.Tracer().Snapshot()
+	if dropped != 0 {
+		t.Fatalf("trace ring dropped %d spans; raise TraceCapacity", dropped)
+	}
+	type lane struct{ n, sum, max int64 }
+	lanes := make([]lane, opts.Ranks)
+	for _, sp := range spans {
+		if sp.Lane == 0 {
+			continue
+		}
+		if sp.Cat != "rank" || sp.Lane > int32(opts.Ranks) || obs.TraceHex(sp.Trace) != s.Trace {
+			t.Fatalf("unexpected span on a rank lane: %+v", sp)
+		}
+		l := &lanes[sp.Lane-1]
+		l.n++
+		l.sum += sp.Dur
+		l.max = max(l.max, sp.Dur)
+	}
+	cs := rec.Cluster()
+	if len(cs.Ranks) != opts.Ranks {
+		t.Fatalf("/cluster has %d rows, want %d", len(cs.Ranks), opts.Ranks)
+	}
+	for r, l := range lanes {
+		row := cs.Ranks[r]
+		if l.n != s.Supersteps || row.Steps != s.Supersteps {
+			t.Errorf("rank %d: %d lane spans, /cluster steps %d, want %d supersteps", r, l.n, row.Steps, s.Supersteps)
+		}
+		if row.StepLatencySumNS != l.sum || row.StepLatencyMaxNS != l.max {
+			t.Errorf("rank %d: /cluster latency sum %d max %d, lane spans sum %d max %d", r, row.StepLatencySumNS, row.StepLatencyMaxNS, l.sum, l.max)
+		}
+	}
+	for name, want := range map[string]int64{
+		"graftmatch_cluster_supersteps_total": s.Supersteps,
+		"graftmatch_cluster_messages_total":   s.Messages,
+		"graftmatch_cluster_phases_total":     s.Phases,
+	} {
+		if got := rec.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d (stats)", name, got, want)
+		}
 	}
 }
 

@@ -9,24 +9,23 @@ import (
 
 // protoVersion gates the cluster wire protocol; a worker and coordinator
 // must agree exactly (the Hello/Welcome handshake checks). v2 added the
-// run-trace context (Hello send timestamp, Welcome trace id, trace ids on
-// superstep frames) and the fTelemetry span-shipping frame. v3 dropped the
-// reliable session (sequence prefixes, ack frames) and the Hello nonce:
-// every frame travels directly on the connection, and the connection is the
-// worker incarnation.
-const protoVersion = 3
+// run-trace context (Welcome trace id, trace ids on superstep frames). v3
+// dropped the reliable session (sequence prefixes, ack frames) and the Hello
+// nonce: every frame travels directly on the connection, and the connection
+// is the worker incarnation. v4 put the worker's compute time on StepDone
+// and dropped the telemetry frame and the Hello send timestamp.
+const protoVersion = 4
 
 // Frame types on a cluster link. Hello and Welcome open a fresh connection;
 // everything else follows on the same connection.
 const (
-	fHello     byte = iota + 1 // 1: worker → coordinator: version, rank wanted, graph fingerprint
-	fWelcome                   // 2: coordinator → worker: assigned rank, K, epoch, heartbeat/lease terms
-	fStep                      // 3: coordinator → worker: one superstep order with routed inbox
-	fStepDone                  // 4: worker → coordinator: outboxes, census info, new renewable roots
-	fDone                      // 5: coordinator → worker: run complete, exit cleanly
-	fAbort                     // 6: either direction: fatal condition, carries the reason
-	fHB                        // 7: heartbeat, empty payload
-	fTelemetry                 // 8: worker → coordinator: batched spans + metric deltas, best-effort
+	fHello    byte = iota + 1 // 1: worker → coordinator: version, rank wanted, graph fingerprint
+	fWelcome                  // 2: coordinator → worker: assigned rank, K, epoch, heartbeat/lease terms
+	fStep                     // 3: coordinator → worker: one superstep order with routed inbox
+	fStepDone                 // 4: worker → coordinator: outboxes, census info, new renewable roots, compute time
+	fDone                     // 5: coordinator → worker: run complete, exit cleanly
+	fAbort                    // 6: either direction: fatal condition, carries the reason
+	fHB                       // 7: heartbeat, empty payload
 )
 
 // Superstep op codes, the coordinator-driven counterpart of the ops methods.
@@ -50,9 +49,9 @@ const (
 	opReportMates                 // return the rank's mate arrays (phase boundary)
 )
 
-// opNames maps op codes to the span names the cluster trace uses, so the
-// telemetry frame ships one byte per span instead of a string. Index 0 and
-// out-of-range ops render as "op?" rather than faulting on a garbage byte.
+// opNames maps op codes to the names of the rank spans in the cluster
+// trace. Index 0 and out-of-range ops render as "op?" rather than faulting
+// on a garbage byte.
 var opNames = [...]string{
 	opScatter:     "scatter",
 	opSeed:        "seed",
@@ -96,7 +95,6 @@ func (e *ProtoError) Error() string {
 type helloFrame struct {
 	Version uint16
 	Rank    int32 // requested rank; -1 means "assign me one"
-	SentAt  int64 // worker wall clock (UnixNano) at send; clock-offset estimate
 	FP      checkpoint.Fingerprint
 }
 
@@ -128,47 +126,25 @@ type stepFrame struct {
 }
 
 // stepDoneFrame reports a superstep: per-destination outboxes, the roots that
-// turned renewable, and the op's scalar results in Info (frontier size,
-// paths, census counts). ReportMates steps carry the block's mate arrays.
+// turned renewable, the op's scalar results in Info (frontier size, paths,
+// census counts), and Dur, the worker's compute time for the op. ReportMates
+// steps carry the block's mate arrays.
 type stepDoneFrame struct {
 	Epoch    uint64
 	SSID     uint64
 	Trace    uint64
 	Op       byte
 	Info     [2]int64
+	Dur      int64 // nanoseconds the worker spent executing the op
 	NewRenew []int32
 	Out      [][]message
 	MateX    []int32 // opReportMates only
 	MateY    []int32 // opReportMates only
-}
 
-// telSpan is one shipped span: the op it timed, worker-local wall-clock
-// start, duration, and one scalar (the op's Info[0]). Op-coded so the wire
-// cost is a fixed 25 bytes and encoding allocates nothing.
-type telSpan struct {
-	Op    byte
-	Start int64 // worker wall clock, UnixNano; coordinator applies clock offset
-	Dur   int64
-	Arg   int64
-}
-
-// telSpanBytes is the wire size of one telSpan (1 + 3×8).
-const telSpanBytes = 25
-
-// maxTelSpans bounds one telemetry frame; the worker's shipper buffer is
-// sized to it, so anything beyond is dropped-oldest at the source.
-const maxTelSpans = 512
-
-// telemetryFrame ships a worker's batched spans and metric deltas to the
-// coordinator at superstep boundaries. Entirely best-effort: the coordinator
-// ingests it off the pump goroutine and the driver never waits for one.
-type telemetryFrame struct {
-	Epoch   uint64
-	Trace   uint64
-	Dropped uint64 // spans lost to the shipper's bounded buffer so far
-	Steps   int64  // supersteps executed since the last telemetry frame
-	MsgsOut int64  // messages emitted since the last telemetry frame
-	Spans   []telSpan
+	// Arrived is the coordinator's clock (UnixNano) when its pump read the
+	// frame; it is not on the wire. The rank's span is [Arrived−Dur,
+	// Arrived], on the coordinator's clock, so it needs no clock offset.
+	Arrived int64
 }
 
 // --- encoding -------------------------------------------------------------
@@ -199,10 +175,9 @@ func putMsgs(b []byte, ms []message) []byte {
 }
 
 func encodeHello(h helloFrame) []byte {
-	b := make([]byte, 0, 40)
+	b := make([]byte, 0, 32)
 	b = putU16(b, h.Version)
 	b = putI32(b, h.Rank)
-	b = putI64(b, h.SentAt)
 	b = putI32(b, h.FP.NX)
 	b = putI32(b, h.FP.NY)
 	b = putI64(b, h.FP.NNZ)
@@ -244,6 +219,7 @@ func encodeStepDone(buf []byte, f *stepDoneFrame) []byte {
 	b = append(b, f.Op)
 	b = putI64(b, f.Info[0])
 	b = putI64(b, f.Info[1])
+	b = putI64(b, f.Dur)
 	b = putI32s(b, f.NewRenew)
 	b = putU32(b, uint32(len(f.Out)))
 	for _, box := range f.Out {
@@ -251,26 +227,6 @@ func encodeStepDone(buf []byte, f *stepDoneFrame) []byte {
 	}
 	b = putI32s(b, f.MateX)
 	b = putI32s(b, f.MateY)
-	return b
-}
-
-// encodeTelemetry appends into buf (reused across ships by the worker's
-// telemetry shipper — the encode itself allocates nothing).
-func encodeTelemetry(buf []byte, f *telemetryFrame) []byte {
-	b := buf[:0]
-	b = putU64(b, f.Epoch)
-	b = putU64(b, f.Trace)
-	b = putU64(b, f.Dropped)
-	b = putI64(b, f.Steps)
-	b = putI64(b, f.MsgsOut)
-	b = putU32(b, uint32(len(f.Spans)))
-	for i := range f.Spans {
-		s := &f.Spans[i]
-		b = append(b, s.Op)
-		b = putI64(b, s.Start)
-		b = putI64(b, s.Dur)
-		b = putI64(b, s.Arg)
-	}
 	return b
 }
 
@@ -410,7 +366,6 @@ func decodeHello(b []byte) (helloFrame, error) {
 	h := helloFrame{
 		Version: r.u16(),
 		Rank:    r.i32(),
-		SentAt:  r.i64(),
 		FP: checkpoint.Fingerprint{
 			NX: r.i32(), NY: r.i32(), NNZ: r.i64(), AdjHash: r.u64(),
 		},
@@ -460,6 +415,7 @@ func decodeStepDone(b []byte, k int) (stepDoneFrame, error) {
 	}
 	f.Info[0] = r.i64()
 	f.Info[1] = r.i64()
+	f.Dur = r.i64()
 	f.NewRenew = r.i32s()
 	nOut := int(r.u32())
 	if !r.bad && nOut != k {
@@ -473,32 +429,6 @@ func decodeStepDone(b []byte, k int) (stepDoneFrame, error) {
 	}
 	f.MateX = r.i32s()
 	f.MateY = r.i32s()
-	return f, r.finish()
-}
-
-// decodeTelemetry validates the span count against the bytes actually
-// present (and the maxTelSpans cap) before allocating — a telemetry frame is
-// the only worker-originated frame besides StepDone, so it gets the same
-// allocation-bomb discipline.
-func decodeTelemetry(b []byte) (telemetryFrame, error) {
-	r := newPR("telemetry", b)
-	f := telemetryFrame{
-		Epoch:   r.u64(),
-		Trace:   r.u64(),
-		Dropped: r.u64(),
-		Steps:   r.i64(),
-		MsgsOut: r.i64(),
-	}
-	n := r.u32()
-	if !r.bad && n > maxTelSpans {
-		r.fail("span count exceeds cap")
-	}
-	if r.fits(n, telSpanBytes, "span count exceeds frame") && n > 0 {
-		f.Spans = make([]telSpan, n)
-		for i := range f.Spans {
-			f.Spans[i] = telSpan{Op: r.u8(), Start: r.i64(), Dur: r.i64(), Arg: r.i64()}
-		}
-	}
 	return f, r.finish()
 }
 

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -29,77 +28,11 @@ func TestFrameTypeWireValues(t *testing.T) {
 		{"fDone", fDone, 5},
 		{"fAbort", fAbort, 6},
 		{"fHB", fHB, 7},
-		{"fTelemetry", fTelemetry, 8},
 	}
 	for _, p := range pins {
 		if p.got != p.want {
 			t.Errorf("%s = %d, want wire value %d", p.name, p.got, p.want)
 		}
-	}
-}
-
-// TestTelemetryFrameRoundTrip pins the telemetry frame encoding: header
-// fields survive, span batches survive in order, and the encoder reuses the
-// caller's buffer rather than allocating a fresh one per superstep.
-func TestTelemetryFrameRoundTrip(t *testing.T) {
-	f := telemetryFrame{
-		Epoch:   3,
-		Trace:   0xdeadbeefcafe0001,
-		Dropped: 42,
-		Steps:   17,
-		MsgsOut: 9001,
-		Spans: []telSpan{
-			{Op: opScatter, Start: 1111, Dur: 22, Arg: 5},
-			{Op: opReportMates, Start: 3333, Dur: 44, Arg: -1},
-		},
-	}
-	buf := make([]byte, 0, 256)
-	out := encodeTelemetry(buf, &f)
-	if &out[0] != &buf[:1][0] {
-		t.Error("encodeTelemetry did not reuse the caller's buffer")
-	}
-	got, err := decodeTelemetry(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != f.Epoch || got.Trace != f.Trace || got.Dropped != f.Dropped ||
-		got.Steps != f.Steps || got.MsgsOut != f.MsgsOut {
-		t.Errorf("header mismatch: got %+v want %+v", got, f)
-	}
-	if len(got.Spans) != len(f.Spans) {
-		t.Fatalf("got %d spans, want %d", len(got.Spans), len(f.Spans))
-	}
-	for i, s := range got.Spans {
-		if s != f.Spans[i] {
-			t.Errorf("span %d: got %+v want %+v", i, s, f.Spans[i])
-		}
-	}
-}
-
-// TestTelemetryFrameTruncation asserts the decoder rejects — rather than
-// panics on or over-allocates for — frames whose claimed span count exceeds
-// the payload, the maxTelSpans cap, or whose header is cut short.
-func TestTelemetryFrameTruncation(t *testing.T) {
-	f := telemetryFrame{Epoch: 1, Trace: 7, Spans: []telSpan{{Op: opExpand, Start: 1, Dur: 2, Arg: 3}}}
-	full := encodeTelemetry(nil, &f)
-	for n := 0; n < len(full); n++ {
-		if _, err := decodeTelemetry(full[:n]); err == nil {
-			t.Errorf("decodeTelemetry accepted a frame truncated to %d/%d bytes", n, len(full))
-		}
-	}
-	// Forge a count larger than the payload: keep the fixed header (count=1)
-	// but strip the span bytes.
-	header := len(full) - telSpanBytes
-	if _, err := decodeTelemetry(full[:header]); err == nil {
-		t.Error("decodeTelemetry accepted a span count larger than the payload")
-	}
-	// Allocation bomb: patch the count field to maxTelSpans+1 on a frame with
-	// no span payload at all. The decoder must reject on the cap before any
-	// count-sized allocation.
-	bomb := append([]byte(nil), full[:header]...)
-	binary.LittleEndian.PutUint32(bomb[header-4:], maxTelSpans+1)
-	if _, err := decodeTelemetry(bomb); err == nil {
-		t.Error("decodeTelemetry accepted a span count above maxTelSpans")
 	}
 }
 

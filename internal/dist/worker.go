@@ -10,7 +10,6 @@ import (
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/checkpoint"
 	distnet "graftmatch/internal/dist/net"
-	"graftmatch/internal/obs"
 )
 
 // WorkerOptions configures one rank process of a multi-process cluster run.
@@ -43,66 +42,6 @@ type WorkerOptions struct {
 	// OnAttach, when non-nil, is called after the successful handshake with
 	// the assigned rank. Tests use it; the CLI logs it.
 	OnAttach func(rank int)
-
-	// Recorder, when non-nil, records per-op spans locally and turns on the
-	// telemetry shipper: batched spans ride fTelemetry frames to the
-	// coordinator at superstep boundaries, drop-oldest and best-effort. A
-	// nil Recorder keeps the step loop exactly as allocation-free as before.
-	Recorder *obs.Recorder
-}
-
-// telShipThreshold is how many buffered spans trigger a ship even before a
-// phase boundary forces one.
-const telShipThreshold = 64
-
-// telShipper batches a worker's spans and metric deltas between fTelemetry
-// ships. Bounded drop-oldest: a full buffer evicts its oldest span rather
-// than growing or blocking, so a partitioned coordinator can never stall the
-// step loop through its own telemetry.
-type telShipper struct {
-	trace   uint64
-	spans   []telSpan // len ≤ maxTelSpans; oldest first
-	dropped uint64
-	steps   int64
-	msgsOut int64
-	buf     []byte // reused wire encoding
-	frame   telemetryFrame
-}
-
-func newTelShipper(trace uint64) *telShipper {
-	return &telShipper{trace: trace, spans: make([]telSpan, 0, maxTelSpans)}
-}
-
-// add buffers one span, evicting the oldest when full.
-func (t *telShipper) add(s telSpan) {
-	if len(t.spans) == maxTelSpans {
-		copy(t.spans, t.spans[1:])
-		t.spans = t.spans[:maxTelSpans-1]
-		t.dropped++
-	}
-	t.spans = append(t.spans, s)
-}
-
-// ship encodes the buffered batch and sends it on the connection.
-// Best-effort: a send error is swallowed (the connection is dying; the step
-// loop will see it) and the batch is discarded either way.
-func (t *telShipper) ship(conn *distnet.Conn, epoch uint64) {
-	if len(t.spans) == 0 && t.steps == 0 {
-		return
-	}
-	t.frame = telemetryFrame{
-		Epoch:   epoch,
-		Trace:   t.trace,
-		Dropped: t.dropped,
-		Steps:   t.steps,
-		MsgsOut: t.msgsOut,
-		Spans:   t.spans,
-	}
-	t.buf = encodeTelemetry(t.buf, &t.frame)
-	_ = conn.Send(fTelemetry, t.buf)
-	t.spans = t.spans[:0]
-	t.steps = 0
-	t.msgsOut = 0
 }
 
 // workerLink is the handshake result: a connected conn plus the terms the
@@ -136,7 +75,6 @@ func join(ctx context.Context, opts WorkerOptions, fp checkpoint.Fingerprint) (w
 	hello := encodeHello(helloFrame{
 		Version: protoVersion,
 		Rank:    int32(opts.Rank),
-		SentAt:  time.Now().UnixNano(),
 		FP:      fp,
 	})
 	if err := conn.Send(fHello, hello); err != nil {
@@ -305,16 +243,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		return err
 	}
 
-	// Telemetry is entirely optional: with a nil Recorder the step loop below
-	// is byte-for-byte the pre-telemetry path (shipper stays nil, every hook
-	// is one nil check), preserving the zero-alloc contract.
-	var shipper *telShipper
-	rec := opts.Recorder
-	if rec != nil {
-		rec = rec.WithTrace(w.Trace)
-		shipper = newTelShipper(w.Trace)
-	}
-
 	epoch := w.Epoch
 	var doneBuf []byte
 	for {
@@ -343,32 +271,16 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 				continue // stale order from before a recovery; already superseded
 			}
 			epoch = f.Epoch
-			var t0 time.Time
-			if shipper != nil {
-				t0 = time.Now()
-			}
+			t0 := time.Now()
 			done, err := execStep(o, r, &f)
 			if err != nil {
 				return err
 			}
-			if shipper != nil {
-				d := time.Since(t0)
-				rec.Span("rank", opSpanName(f.Op), t0, d, done.Info[0])
-				shipper.add(telSpan{Op: f.Op, Start: t0.UnixNano(), Dur: int64(d), Arg: done.Info[0]})
-				shipper.steps++
-				for _, box := range done.Out {
-					shipper.msgsOut += int64(len(box))
-				}
-			}
+			done.Dur = int64(time.Since(t0))
 			doneBuf = encodeStepDone(doneBuf, done)
 			clearOutboxes(r) // done.Out aliases r.out; encoded, so safe to reset
 			if err := conn.Send(fStepDone, doneBuf); err != nil {
 				return ended(err)
-			}
-			// Ship after the StepDone so telemetry never delays the barrier
-			// the coordinator is gathering; phase boundaries always flush.
-			if shipper != nil && (len(shipper.spans) >= telShipThreshold || f.Op == opReportMates) {
-				shipper.ship(conn, epoch)
 			}
 		default:
 			return &ProtoError{Frame: "step", Reason: fmt.Sprintf("unexpected frame type %d", typ)} //lint:ignore hotpath-alloc protocol-violation exit, never taken on a healthy run

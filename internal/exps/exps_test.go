@@ -76,7 +76,7 @@ func TestRunAllAlgos(t *testing.T) {
 func TestRunWithRecordsMSBFSFamily(t *testing.T) {
 	inst, _ := ByName(Small, "kkt_power")
 	for _, a := range []Algo{AlgoMSBFS, AlgoDirOpt} {
-		rec := obs.New(obs.Config{Workers: 2})
+		rec := obs.New(obs.Config{})
 		s := RunWith(a, inst.Graph, 2, rec)
 		got := rec.Counter("graftmatch_core_edges_traversed_total", "").Value()
 		if got == 0 || got != s.EdgesTraversed {

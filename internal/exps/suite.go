@@ -7,7 +7,6 @@ package exps
 
 import (
 	"fmt"
-	"sort"
 
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/gen"
@@ -153,9 +152,3 @@ func Names(sc Scale) []string {
 
 // Classes returns the distinct classes in display order.
 func Classes() []Class { return []Class{Scientific, ScaleFree, Networks} }
-
-// SortByClass orders instances class-major, preserving suite order inside a
-// class.
-func SortByClass(insts []Instance) {
-	sort.SliceStable(insts, func(i, j int) bool { return insts[i].Class < insts[j].Class })
-}

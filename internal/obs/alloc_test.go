@@ -16,9 +16,9 @@ func TestNoopRecorderZeroAlloc(t *testing.T) {
 	h := rec.Histogram("graftmatch_x_ns", "")
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
-		c.Add(1, 5)
+		c.Add(5)
 		g.Set(9)
-		h.Observe(1, 123)
+		h.Observe(123)
 		rec.Span("core", "phase", start, time.Millisecond, 7)
 		rec.PhaseDone("core", 1, 2)
 		_ = c.Value()
@@ -30,17 +30,17 @@ func TestNoopRecorderZeroAlloc(t *testing.T) {
 
 // A live recorder's per-phase hot calls are allocation-free too: counter
 // adds, gauge sets, histogram observes, and span records all write into
-// preallocated padded slots or the ring buffer.
+// preallocated atomic cells or the ring buffer.
 func TestLiveRecorderHotPathZeroAlloc(t *testing.T) {
-	rec := New(Config{Workers: 4, TraceCapacity: 1024})
+	rec := New(Config{TraceCapacity: 1024})
 	c := rec.Counter("graftmatch_x_total", "")
 	g := rec.Gauge("graftmatch_x", "")
 	h := rec.Histogram("graftmatch_x_ns", "")
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
-		c.Add(1, 5)
+		c.Add(5)
 		g.Set(9)
-		h.Observe(1, 123)
+		h.Observe(123)
 		rec.Span("core", "phase", start, time.Millisecond, 7)
 		_ = c.Value()
 	})
@@ -54,7 +54,7 @@ func TestLiveRecorderHotPathZeroAlloc(t *testing.T) {
 // allocation-free on a live recorder, and the no-op recorder stays free even
 // through WithTrace.
 func TestTelemetryPathZeroAlloc(t *testing.T) {
-	rec := New(Config{Workers: 4, TraceCapacity: 1024})
+	rec := New(Config{TraceCapacity: 1024})
 	trace := NewTraceID()
 	tagged := rec.WithTrace(trace)
 	h := rec.Histogram("graftmatch_tel_ns", "")
@@ -62,7 +62,7 @@ func TestTelemetryPathZeroAlloc(t *testing.T) {
 	start := time.Now()
 	allocs := testing.AllocsPerRun(200, func() {
 		tagged.Span("core", "phase", start, time.Millisecond, 7)
-		h.ObserveEx(1, 123, trace)
+		h.ObserveEx(123, trace)
 		tok := rec.ReqBegin(info)
 		rec.ReqState(tok, "running")
 		rec.ReqEnd(tok)
@@ -76,7 +76,7 @@ func TestTelemetryPathZeroAlloc(t *testing.T) {
 	nh := nop.Histogram("graftmatch_tel_ns", "")
 	allocs = testing.AllocsPerRun(200, func() {
 		nopTagged.Span("core", "phase", start, time.Millisecond, 7)
-		nh.ObserveEx(1, 123, trace)
+		nh.ObserveEx(123, trace)
 		tok := nop.ReqBegin(info)
 		nop.ReqState(tok, "running")
 		nop.ReqEnd(tok)
@@ -93,21 +93,21 @@ func BenchmarkNoopRecorder(b *testing.B) {
 	start := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(0, 1)
-		h.Observe(0, int64(i))
+		c.Add(1)
+		h.Observe(int64(i))
 		rec.Span("core", "phase", start, time.Microsecond, int64(i))
 	}
 }
 
 func BenchmarkLiveRecorder(b *testing.B) {
-	rec := New(Config{Workers: 4, TraceCapacity: 4096})
+	rec := New(Config{TraceCapacity: 4096})
 	c := rec.Counter("graftmatch_x_total", "")
 	h := rec.Histogram("graftmatch_x_ns", "")
 	start := time.Now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Add(0, 1)
-		h.Observe(0, int64(i))
+		c.Add(1)
+		h.Observe(int64(i))
 		rec.Span("core", "phase", start, time.Microsecond, int64(i))
 	}
 }

@@ -93,7 +93,7 @@ const indexText = `graftmatch observability surface
   /metrics        Prometheus text exposition (with trace exemplars)
   /metrics.json   metrics registry as JSON
   /status         live run status (phase, cardinality, rung, last checkpoint)
-  /cluster        per-rank cluster snapshot (dist runs: liveness, clock offsets, deaths, step latencies)
+  /cluster        per-rank cluster snapshot (dist runs: liveness, deaths, steps, step latencies)
   /requests       live in-flight requests (matchd: id, trace, endpoint, state)
   /trace          Chrome trace-event JSON (load in Perfetto / about://tracing)
   /trace/summary  flame summary of the span ring

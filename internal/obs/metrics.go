@@ -1,5 +1,5 @@
 // Package obs is the live observability substrate: a lock-free metrics
-// registry with cache-line-padded per-worker slots, a bounded span tracer
+// registry of atomic counters, gauges and histograms, a bounded span tracer
 // with Chrome trace-event export, and an operational HTTP surface. It is
 // stdlib-only and designed around a nil-receiver no-op default: every engine
 // threads a *Recorder through its options, and when the recorder is nil each
@@ -18,55 +18,30 @@ import (
 	"time"
 )
 
-// cell is one per-worker counter slot, padded to a full 64-byte cache line
-// so concurrent workers never write-share a line (the same idiom as
-// par.Counter and queue.Local). Unlike par.Counter the slot is atomic: the
-// HTTP surface aggregates cells while workers are mid-phase, so reads and
-// writes genuinely race and must both be atomic.
-type cell struct {
+// Counter is a monotonically increasing counter: one atomic cell, padded to
+// a full 64-byte cache line so a hot counter never write-shares a line with
+// its neighbours. Kernels sum per worker with par.Counter and add the total
+// here once per step. A nil *Counter is a valid no-op, which is how an
+// engine built with a nil Recorder carries its metric handles.
+type Counter struct {
 	n atomic.Int64
 	_ [56]byte
 }
 
-// Counter is a monotonically increasing per-worker counter. Add is wait-free
-// (one atomic add on the worker's own cache line); Value folds the cells on
-// read. A nil *Counter is a valid no-op, which is how an engine built with a
-// nil Recorder carries its metric handles.
-type Counter struct {
-	cells []cell
-}
-
-// Add accumulates delta into worker w's slot. Callers pass their par worker
-// id; out-of-range ids wrap rather than fault so callers on the driver
-// goroutine can always use 0.
-func (c *Counter) Add(w int, delta int64) {
+// Add accumulates delta. Nil-safe.
+func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
 	}
-	i := uint(w) % uint(len(c.cells))
-	c.cells[i].n.Add(delta)
+	c.n.Add(delta)
 }
 
-// Value returns the sum over all worker slots.
+// Value returns the current total. Nil-safe.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].n.Load()
-	}
-	return sum
-}
-
-// ValueAt returns worker slot w's contribution alone. The dist coordinator
-// indexes its per-rank counters by rank-as-worker-slot, so this is how the
-// /cluster surface reads one rank's share without a labelled metric per rank.
-func (c *Counter) ValueAt(w int) int64 {
-	if c == nil || len(c.cells) == 0 {
-		return 0
-	}
-	return c.cells[uint(w)%uint(len(c.cells))].n.Load()
+	return c.n.Load()
 }
 
 // Gauge is a single instantaneous value (current phase, cardinality). Set
@@ -95,18 +70,8 @@ func (g *Gauge) Value() int64 {
 // numBuckets is the fixed bucket count of every Histogram: bucket i holds
 // observations whose bit length is i (v <= 2^i - 1), i.e. power-of-two
 // bounds from 0 up to 2^44-1 (~4.8 hours in nanoseconds, ~16 TiB in bytes),
-// with the last bucket as +Inf overflow. 2 + 46 int64 fields make each
-// per-worker row exactly 384 bytes — a whole number of cache lines, so the
-// falseshare layout rule holds with no explicit padding field.
+// with the last bucket as +Inf overflow.
 const numBuckets = 46
-
-// histRow is one worker's histogram slot: count, sum, and the bucket array,
-// sized to a multiple of 64 bytes (48 int64s = 384 B).
-type histRow struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [numBuckets]atomic.Int64
-}
 
 // exemplar is the most recent trace-tagged observation that landed in one
 // bucket: enough to jump from a latency bucket on /metrics to the matching
@@ -117,15 +82,17 @@ type exemplar struct {
 	unixNS int64
 }
 
-// Histogram is a per-worker power-of-two histogram (frontier sizes, fsync
-// latencies). Observe is wait-free on the worker's own row; snapshots fold
-// rows on read. A nil *Histogram is a valid no-op handle.
+// Histogram is a power-of-two histogram (frontier sizes, fsync latencies).
+// Observe is wait-free: three atomic adds. A nil *Histogram is a valid no-op
+// handle.
 //
-// Exemplars live beside the rows under their own mutex: only ObserveEx (one
-// call per served request, never a kernel hot path) touches it, so Observe
-// keeps its wait-free single-row contract.
+// Exemplars live beside the counts under their own mutex: only ObserveEx
+// (one call per served request, never a kernel hot path) touches it, so
+// Observe stays wait-free.
 type Histogram struct {
-	rows []histRow
+	count   atomic.Int64
+	sum     atomic.Int64
+	buckets [numBuckets]atomic.Int64
 
 	exMu sync.Mutex
 	ex   [numBuckets]exemplar
@@ -143,27 +110,24 @@ func bucketIndex(v int64) int {
 	return i
 }
 
-// Observe records one value into worker w's row. Nil-safe; out-of-range
-// worker ids wrap.
-func (h *Histogram) Observe(w int, v int64) {
+// Observe records one value. Nil-safe.
+func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := uint(w) % uint(len(h.rows))
-	r := &h.rows[i]
-	r.count.Add(1)
-	r.sum.Add(v)
-	r.buckets[bucketIndex(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+	h.buckets[bucketIndex(v)].Add(1)
 }
 
 // ObserveEx records one value like Observe and, when trace is nonzero,
 // remembers it as the bucket's exemplar so the exposition can link the
 // latency bucket to the request trace that produced it. Nil-safe.
-func (h *Histogram) ObserveEx(w int, v int64, trace uint64) {
+func (h *Histogram) ObserveEx(v int64, trace uint64) {
 	if h == nil {
 		return
 	}
-	h.Observe(w, v)
+	h.Observe(v)
 	if trace == 0 {
 		return
 	}
@@ -191,19 +155,16 @@ type HistSnapshot struct {
 	Exemplars []Exemplar        `json:"exemplars,omitempty"`
 }
 
-// snapshot folds all worker rows.
+// snapshot reads the counts and the retained exemplars.
 func (h *Histogram) snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {
 		return s
 	}
-	for i := range h.rows {
-		r := &h.rows[i]
-		s.Count += r.count.Load()
-		s.Sum += r.sum.Load()
-		for b := 0; b < numBuckets; b++ {
-			s.Buckets[b] += r.buckets[b].Load()
-		}
+	s.Count = h.count.Load()
+	s.Sum = h.sum.Load()
+	for b := 0; b < numBuckets; b++ {
+		s.Buckets[b] = h.buckets[b].Load()
 	}
 	h.exMu.Lock()
 	for b := 0; b < numBuckets; b++ {
@@ -236,20 +197,15 @@ func bucketBound(i int) int64 {
 // registration is rare and export is off the hot path, so contention is nil.
 type Registry struct {
 	mu       sync.Mutex
-	workers  int
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
 }
 
-// newRegistry sizes per-worker metric storage for `workers` slots.
-func newRegistry(workers int) *Registry {
-	if workers <= 0 {
-		workers = 1
-	}
+// newRegistry builds an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
-		workers:  workers,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
@@ -264,7 +220,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{cells: make([]cell, r.workers)}
+		c = &Counter{}
 		r.counters[name] = c
 		r.help[name] = help
 	}
@@ -290,7 +246,7 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{rows: make([]histRow, r.workers)}
+		h = &Histogram{}
 		r.hists[name] = h
 		r.help[name] = help
 	}

@@ -9,14 +9,11 @@ import (
 	"unsafe"
 )
 
-// The falseshare layout rule these types were designed around: per-worker
-// slots must occupy whole cache lines.
-func TestPerWorkerSlotsAreCacheLineMultiples(t *testing.T) {
-	if s := unsafe.Sizeof(cell{}); s%64 != 0 {
-		t.Errorf("cell is %d bytes, not a multiple of 64", s)
-	}
-	if s := unsafe.Sizeof(histRow{}); s%64 != 0 {
-		t.Errorf("histRow is %d bytes, not a multiple of 64", s)
+// Counters and gauges are padded to whole cache lines, so two hot metrics
+// never write-share a line.
+func TestMetricCellsAreCacheLineMultiples(t *testing.T) {
+	if s := unsafe.Sizeof(Counter{}); s%64 != 0 {
+		t.Errorf("Counter is %d bytes, not a multiple of 64", s)
 	}
 	if s := unsafe.Sizeof(Gauge{}); s%64 != 0 {
 		t.Errorf("Gauge is %d bytes, not a multiple of 64", s)
@@ -25,17 +22,17 @@ func TestPerWorkerSlotsAreCacheLineMultiples(t *testing.T) {
 
 func TestCounterConcurrentAggregation(t *testing.T) {
 	const workers, perWorker = 8, 10000
-	reg := newRegistry(workers)
+	reg := newRegistry()
 	c := reg.Counter("x", "test")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Add(w, 1)
+				c.Add(1)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != workers*perWorker {
@@ -43,19 +40,8 @@ func TestCounterConcurrentAggregation(t *testing.T) {
 	}
 }
 
-func TestCounterWorkerIDWraps(t *testing.T) {
-	reg := newRegistry(2)
-	c := reg.Counter("x", "test")
-	c.Add(0, 1)
-	c.Add(7, 1)  // wraps to slot 1
-	c.Add(-1, 1) // negative ids wrap too rather than fault
-	if got := c.Value(); got != 3 {
-		t.Errorf("Value = %d, want 3", got)
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
-	reg := newRegistry(2)
+	reg := newRegistry()
 	a := reg.Counter("same", "first help wins")
 	b := reg.Counter("same", "ignored")
 	if a != b {
@@ -73,16 +59,16 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	reg := newRegistry(4)
+	reg := newRegistry()
 	h := reg.Histogram("h", "test")
 	// Values chosen to land in known power-of-two buckets: bit length i
 	// means bucket i (v <= 2^i - 1).
-	h.Observe(0, 0) // bucket 0
-	h.Observe(1, 1) // bucket 1
-	h.Observe(2, 2) // bucket 2
-	h.Observe(3, 3) // bucket 2
-	h.Observe(0, 1000)
-	h.Observe(0, -5) // clamps to bucket 0
+	h.Observe(0) // bucket 0
+	h.Observe(1) // bucket 1
+	h.Observe(2) // bucket 2
+	h.Observe(3) // bucket 2
+	h.Observe(1000)
+	h.Observe(-5) // clamps to bucket 0
 	s := h.snapshot()
 	if s.Count != 6 {
 		t.Errorf("Count = %d, want 6", s.Count)
@@ -97,7 +83,7 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Errorf("bucket for 1000 empty")
 	}
 	// Overflow lands in the +Inf bucket.
-	h.Observe(0, int64(1)<<60)
+	h.Observe(int64(1) << 60)
 	if got := h.snapshot().Buckets[numBuckets-1]; got != 1 {
 		t.Errorf("+Inf bucket = %d, want 1", got)
 	}
@@ -119,12 +105,12 @@ func TestBucketBoundsMonotone(t *testing.T) {
 }
 
 func TestWritePrometheusShape(t *testing.T) {
-	reg := newRegistry(2)
-	reg.Counter("graftmatch_edges_total", "edges traversed").Add(0, 42)
+	reg := newRegistry()
+	reg.Counter("graftmatch_edges_total", "edges traversed").Add(42)
 	reg.Gauge("graftmatch_phase", "current phase").Set(7)
 	h := reg.Histogram("graftmatch_fsync_ns", "fsync latency")
-	h.Observe(0, 3)
-	h.Observe(1, 100)
+	h.Observe(3)
+	h.Observe(100)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -173,10 +159,10 @@ func TestWritePrometheusShape(t *testing.T) {
 }
 
 func TestSnapshotJSONShape(t *testing.T) {
-	reg := newRegistry(2)
-	reg.Counter("c", "").Add(1, 5)
+	reg := newRegistry()
+	reg.Counter("c", "").Add(5)
 	reg.Gauge("g", "").Set(-3)
-	reg.Histogram("h", "").Observe(0, 9)
+	reg.Histogram("h", "").Observe(9)
 	s := reg.Snapshot()
 	if s.Counters["c"] != 5 || s.Gauges["g"] != -3 {
 		t.Errorf("snapshot = %+v", s)

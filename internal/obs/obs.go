@@ -3,7 +3,6 @@ package obs
 import (
 	"hash/fnv"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,11 +10,6 @@ import (
 
 // Config sizes a Recorder.
 type Config struct {
-	// Workers is the number of per-worker metric slots; 0 means GOMAXPROCS
-	// at construction time. Sizing it to the engine's thread count keeps
-	// every worker on its own cache line.
-	Workers int
-
 	// TraceCapacity bounds the span ring buffer; 0 means 16384. Older
 	// spans are dropped (and counted) once the ring wraps.
 	TraceCapacity int
@@ -44,16 +38,13 @@ type reqSlot struct {
 	info  ReqInfo
 }
 
-// RankStatus is one rank's row in the cluster snapshot: liveness, the
-// handshake clock-offset estimate, and the per-rank counter shares the
-// coordinator reads out of its rank-indexed metric slots.
+// RankStatus is one rank's row in the cluster snapshot: liveness, deaths,
+// and the supersteps the coordinator gathered from the rank with the
+// compute time each StepDone reported.
 type RankStatus struct {
 	Rank             int   `json:"rank"`
 	Alive            bool  `json:"alive"`
-	ClockOffsetNS    int64 `json:"clock_offset_ns"`
 	Deaths           int64 `json:"deaths"`
-	SpansIngested    int64 `json:"spans_ingested"`
-	SpansDropped     int64 `json:"spans_dropped"`
 	Steps            int64 `json:"steps"`
 	StepLatencySumNS int64 `json:"step_latency_sum_ns"`
 	StepLatencyMaxNS int64 `json:"step_latency_max_ns"`
@@ -113,12 +104,8 @@ type Recorder struct {
 
 // New builds a live Recorder.
 func New(cfg Config) *Recorder {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	r := &Recorder{
-		reg:    newRegistry(workers),
+		reg:    newRegistry(),
 		tracer: newTracer(cfg.TraceCapacity),
 		st:     &state{},
 	}
@@ -188,15 +175,6 @@ func (r *Recorder) Trace() uint64 {
 		return 0
 	}
 	return r.trace
-}
-
-// Workers returns the per-worker slot count metrics were sized for (0 for a
-// nil recorder).
-func (r *Recorder) Workers() int {
-	if r == nil {
-		return 0
-	}
-	return r.reg.workers
 }
 
 // Counter returns (creating on first use) a named counter handle, or nil on
@@ -477,7 +455,7 @@ func (r *Recorder) RungStart(rung string) {
 	r.st.status.RungOutcome = ""
 	r.st.status.UpdatedAt = time.Now().UnixNano()
 	r.st.mu.Unlock()
-	r.rungC.Add(0, 1)
+	r.rungC.Add(1)
 }
 
 // RungEnd records how the current supervision rung ended.
@@ -502,7 +480,7 @@ func (r *Recorder) CheckpointSaved(path string, bytes int64, fsync time.Duration
 	r.st.status.LastCheckpoint = path
 	r.st.status.UpdatedAt = time.Now().UnixNano()
 	r.st.mu.Unlock()
-	r.ckptC.Add(0, 1)
-	r.ckptBytes.Add(0, bytes)
-	r.ckptFsync.Observe(0, int64(fsync))
+	r.ckptC.Add(1)
+	r.ckptBytes.Add(bytes)
+	r.ckptFsync.Observe(int64(fsync))
 }

@@ -18,9 +18,9 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil recorder returned live handles")
 	}
-	c.Add(0, 1)
+	c.Add(1)
 	g.Set(1)
-	h.Observe(0, 1)
+	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil handles accumulated")
 	}
@@ -35,15 +35,15 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if s := rec.Status(); s != (RunStatus{}) {
 		t.Errorf("nil recorder status %+v", s)
 	}
-	if rec.Registry() != nil || rec.Tracer() != nil || rec.Workers() != 0 {
+	if rec.Registry() != nil || rec.Tracer() != nil {
 		t.Error("nil recorder exposed live internals")
 	}
 }
 
 func TestRecorderStatusFlow(t *testing.T) {
-	rec := New(Config{Workers: 4, TraceCapacity: 64})
-	if rec.Workers() != 4 {
-		t.Errorf("Workers = %d", rec.Workers())
+	rec := New(Config{})
+	if len(rec.Tracer().ring) != 16384 {
+		t.Errorf("default trace capacity = %d", len(rec.Tracer().ring))
 	}
 	rec.SetGraph(10, 20, 300)
 	rec.RunStart("MS-BFS-Graft")
@@ -97,9 +97,9 @@ func TestRecorderStatusFlow(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	rec := New(Config{Workers: 2, TraceCapacity: 16})
+	rec := New(Config{TraceCapacity: 16})
 	rec.RunStart("PR")
-	rec.Counter("graftmatch_test_total", "a test counter").Add(0, 9)
+	rec.Counter("graftmatch_test_total", "a test counter").Add(9)
 	rec.Span("core", "phase", time.Now(), time.Millisecond, 1)
 	rec.PhaseDone("PR", 1, 50)
 
@@ -185,15 +185,5 @@ func TestHandlerEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("/nope status = %d", resp.StatusCode)
-	}
-}
-
-func TestRecorderDefaultSizing(t *testing.T) {
-	rec := New(Config{})
-	if rec.Workers() <= 0 {
-		t.Errorf("Workers = %d", rec.Workers())
-	}
-	if len(rec.Tracer().ring) != 16384 {
-		t.Errorf("default trace capacity = %d", len(rec.Tracer().ring))
 	}
 }

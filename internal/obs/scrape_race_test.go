@@ -6,26 +6,31 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestConcurrentScrapeWhileRecording hammers /trace and /trace/summary from
-// concurrent scrapers while writer goroutines record tagged spans, observe
-// exemplar'd histogram values, and update the cluster snapshot. Run under
-// -race this is the gate that the telemetry additions (trace tags, lanes,
-// exemplars, request table, cluster snapshot) kept every reader path
-// properly synchronized with the hot recording path.
+// TestConcurrentScrapeWhileRecording hammers every read endpoint from
+// concurrent scrapers while writer goroutines add to one shared counter,
+// observe exemplar'd values into one shared histogram, record tagged spans
+// on several lanes, and churn the cluster snapshot and request table. Run
+// under -race this is the gate that every reader path is synchronized with
+// the recording path; afterwards the shared counter and histogram must hold
+// exactly the writers' total, since each metric is one atomic cell that
+// every writer adds to.
 func TestConcurrentScrapeWhileRecording(t *testing.T) {
-	rec := New(Config{Workers: 4, TraceCapacity: 256})
+	rec := New(Config{TraceCapacity: 256})
+	c := rec.Counter("graftmatch_scrape_test_total", "test")
 	h := rec.Histogram("graftmatch_scrape_test_ns", "test")
 	srv := httptest.NewServer(Handler(rec))
 	defer srv.Close()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var total atomic.Int64
 
-	// Writers: spans on several lanes, exemplars, cluster + request churn.
+	// Writers: shared metrics, spans on several lanes, cluster + request churn.
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -36,11 +41,13 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
+					total.Add(int64(i))
 					return
 				default:
 				}
+				c.Add(1)
+				h.ObserveEx(int64(i%5000), trace)
 				tagged.Span("race", "step", start, time.Microsecond, int64(i))
-				h.ObserveEx(w, int64(i%5000), trace)
 				rec.Tracer().Ingest([]Span{{
 					Cat: "rank", Name: "expand", Start: start.UnixNano(),
 					Dur: 100, Lane: int32(w + 1), Trace: trace,
@@ -53,7 +60,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 		}(w)
 	}
 
-	paths := []string{"/trace", "/trace/summary", "/metrics", "/cluster", "/requests"}
+	paths := []string{"/trace", "/trace/summary", "/metrics", "/metrics.json", "/cluster", "/requests"}
 	var scrapeWG sync.WaitGroup
 	for _, p := range paths {
 		for k := 0; k < 2; k++ {
@@ -85,6 +92,12 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 	scrapeWG.Wait()
 	close(stop)
 	wg.Wait()
+	if got, want := c.Value(), total.Load(); got != want {
+		t.Errorf("shared counter = %d, want %d", got, want)
+	}
+	if got, want := rec.Registry().Snapshot().Histograms["graftmatch_scrape_test_ns"].Count, total.Load(); got != want {
+		t.Errorf("shared histogram count = %d, want %d", got, want)
+	}
 }
 
 // TestObsEndpointsRejectNonGET pins the 405 contract: every obs-native
@@ -92,7 +105,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 // misconfigured POST-based remote-write scraper fails loudly instead of
 // silently reading state.
 func TestObsEndpointsRejectNonGET(t *testing.T) {
-	rec := New(Config{Workers: 1})
+	rec := New(Config{})
 	srv := httptest.NewServer(Handler(rec))
 	defer srv.Close()
 	for _, p := range []string{"/", "/metrics", "/metrics.json", "/status", "/cluster", "/requests", "/trace", "/trace/summary"} {

@@ -15,10 +15,10 @@ import (
 // bytes) surfaced in the Chrome trace's args.
 //
 // Lane and Trace carry the cross-process dimensions: Lane 0 is the local
-// process, lane k>0 is remote rank k-1 (spans shipped by a cluster worker
-// and ingested by the coordinator land on their rank's lane, which becomes
-// a separate process row in the Chrome trace); Trace is the run/request
-// correlation id (0 = untagged).
+// process, lane k>0 is remote rank k-1 (the cluster coordinator ingests each
+// rank's superstep spans on the rank's lane, which becomes a separate
+// process row in the Chrome trace); Trace is the run/request correlation id
+// (0 = untagged).
 type Span struct {
 	Cat   string
 	Name  string
@@ -34,11 +34,10 @@ type Span struct {
 // is a mutex-guarded struct store — no allocation — and happens once per
 // phase/step on driver goroutines, so the lock is uncontended in practice.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    int
-	total   uint64
-	shipped uint64 // drain cursor: spans already taken by DrainInto
+	mu    sync.Mutex
+	ring  []Span
+	next  int
+	total uint64
 }
 
 // newTracer builds a tracer with capacity spans of history.
@@ -66,8 +65,8 @@ func (t *Tracer) RecordTagged(cat, name string, start time.Time, d time.Duration
 	t.put(Span{Cat: cat, Name: name, Start: start.UnixNano(), Dur: int64(d), Arg: arg, Trace: trace})
 }
 
-// Ingest appends pre-built spans — typically shipped from a remote rank,
-// with Lane set and Start already clock-adjusted by the caller. Nil-safe.
+// Ingest appends pre-built spans — typically a remote rank's, with Lane
+// set and Start on this process's clock. Nil-safe.
 func (t *Tracer) Ingest(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -92,37 +91,6 @@ func (t *Tracer) putLocked(s Span) {
 		t.next = 0
 	}
 	t.total++
-}
-
-// DrainInto copies spans recorded since the last drain into dst, advancing
-// the drain cursor, and reports how many were copied plus how many pending
-// spans were lost — either overwritten by the ring before the drain arrived
-// or skipped because more than len(dst) were pending (drop-oldest: the
-// newest spans always win). Allocation-free; telemetry shippers call it at
-// superstep boundaries with a reused scratch slice.
-func (t *Tracer) DrainInto(dst []Span) (n int, dropped uint64) {
-	if t == nil || len(dst) == 0 {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	from := t.shipped
-	// Spans older than total-len(ring) are already overwritten.
-	if ringCap := uint64(len(t.ring)); t.total > ringCap && from < t.total-ringCap {
-		dropped += t.total - ringCap - from
-		from = t.total - ringCap
-	}
-	// Drop-oldest down to what dst can carry.
-	if pending := t.total - from; pending > uint64(len(dst)) {
-		dropped += pending - uint64(len(dst))
-		from = t.total - uint64(len(dst))
-	}
-	for i := from; i < t.total; i++ {
-		dst[n] = t.ring[i%uint64(len(t.ring))]
-		n++
-	}
-	t.shipped = t.total
-	return n, dropped
 }
 
 // Snapshot returns the retained spans in recording order and the number of

@@ -145,10 +145,10 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		card := m.Cardinality()
 		after := paths.Sum()
 		e := edges.Sum()
-		mPaths.Add(0, after-before)
-		mEdges.Add(0, e-prevEdges)
+		mPaths.Add(after - before)
+		mEdges.Add(e - prevEdges)
 		prevEdges = e
-		mPhases.Add(0, 1)
+		mPhases.Add(1)
 		rec.Span("pf", "phase", phaseStart, time.Since(phaseStart), card)
 		rec.PhaseDone("PF", stats.Phases, card)
 		if opts.OnPhase != nil {

@@ -160,9 +160,9 @@ type prState struct {
 // relabel barriers and once at run end, so live metrics lag the engine by
 // at most one phase.
 func (e *prState) exportDeltas() {
-	e.mEdges.Add(0, e.stats.EdgesTraversed-e.expEdges)
+	e.mEdges.Add(e.stats.EdgesTraversed - e.expEdges)
 	e.expEdges = e.stats.EdgesTraversed
-	e.mPushes.Add(0, e.stats.AugPaths-e.expPushes)
+	e.mPushes.Add(e.stats.AugPaths - e.expPushes)
 	e.expPushes = e.stats.AugPaths
 }
 
@@ -259,7 +259,7 @@ func (e *prState) runSerial() {
 					e.globalRelabel()
 					e.stats.Phases++ // count global relabels as phases
 					card := e.m.Cardinality()
-					e.mPhases.Add(0, 1)
+					e.mPhases.Add(1)
 					e.exportDeltas()
 					e.rec.Span("pr", "relabel", t, time.Since(t), card)
 					e.rec.PhaseDone("PR", e.stats.Phases, card)
@@ -400,7 +400,7 @@ func (e *prState) runParallel() {
 			edges.Reset()
 			pushOps.Reset()
 			card := e.m.Cardinality()
-			e.mPhases.Add(0, 1)
+			e.mPhases.Add(1)
 			e.exportDeltas()
 			e.rec.Span("pr", "relabel", t, time.Since(t), card)
 			e.rec.PhaseDone("PR", e.stats.Phases, card)

@@ -37,8 +37,8 @@ func NewFrontier(capacity int) *Frontier {
 	return &Frontier{buf: make([]int32, capacity)}
 }
 
-// Instrument attaches a reservation counter (nil detaches). Reservations
-// from any worker fold into slot 0: they happen once per LocalCap pushes,
+// Instrument attaches a reservation counter (nil detaches). Every worker
+// adds to the one counter: reservations happen once per LocalCap pushes,
 // far off the per-vertex hot path.
 func (f *Frontier) Instrument(c *obs.Counter) { f.resv = c }
 
@@ -61,7 +61,7 @@ func (f *Frontier) PushBlock(vs []int32) {
 	end := f.n.Add(int64(len(vs)))
 	start := end - int64(len(vs))
 	if f.resv != nil {
-		f.resv.Add(0, 1)
+		f.resv.Add(1)
 	}
 	if end > int64(len(f.buf)) {
 		// Capacity is a caller-proved bound (≤ one frontier entry per
@@ -77,7 +77,7 @@ func (f *Frontier) PushBlock(vs []int32) {
 func (f *Frontier) Push(v int32) {
 	i := f.n.Add(1) - 1
 	if f.resv != nil {
-		f.resv.Add(0, 1)
+		f.resv.Add(1)
 	}
 	if i >= int64(len(f.buf)) {
 		panic("queue: frontier capacity exceeded") //lint:ignore err-checked capacity assertion guards memory safety on the lock-free hot path

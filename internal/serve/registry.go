@@ -78,8 +78,8 @@ func LoadRegistry(dir string) (*Registry, error) {
 			continue
 		}
 		name, ok := instanceName(e.Name())
-		if !ok || name == "" {
-			continue
+		if !ok || name == "" || name == "." || name == ".." {
+			continue // not a name that can own a checkpoint subdirectory
 		}
 		if prev, dup := r.byName[name]; dup {
 			return nil, fmt.Errorf("serve: registry: instance %q defined by both %s and %s",

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"graftmatch"
@@ -115,29 +114,6 @@ type Request struct {
 	B []float64 `json:"b,omitempty"`
 }
 
-// algorithmByName mirrors cmd/maxmatch's -algo vocabulary.
-var algorithmByName = map[string]graftmatch.Algorithm{
-	"":           graftmatch.MSBFSGraft,
-	"msbfsgraft": graftmatch.MSBFSGraft,
-	"msbfs":      graftmatch.MSBFS,
-	"diropt":     graftmatch.MSBFSDirOpt,
-	"pf":         graftmatch.PothenFan,
-	"pr":         graftmatch.PushRelabel,
-	"hk":         graftmatch.HopcroftKarp,
-	"ssbfs":      graftmatch.SSBFS,
-	"ssdfs":      graftmatch.SSDFS,
-}
-
-// initializerByName mirrors cmd/maxmatch's -init vocabulary.
-var initializerByName = map[string]graftmatch.Initializer{
-	"":        graftmatch.KarpSipser,
-	"ks":      graftmatch.KarpSipser,
-	"greedy":  graftmatch.Greedy,
-	"pgreedy": graftmatch.ParallelGreedy,
-	"pks":     graftmatch.ParallelKarpSipser,
-	"none":    graftmatch.NoInit,
-}
-
 // knownClasses are the admission classes a request may name; "" maps to
 // ClassInteractive.
 const (
@@ -163,11 +139,11 @@ func DecodeRequest(body []byte, caps Caps) (*Request, error) {
 	if len(req.Instance) > caps.maxName() {
 		return nil, badRequestf("instance name %d bytes exceeds limit %d", len(req.Instance), caps.maxName())
 	}
-	if _, ok := algorithmByName[strings.ToLower(req.Algorithm)]; !ok {
-		return nil, badRequestf("unknown algorithm %q", req.Algorithm)
+	if _, err := graftmatch.ParseAlgorithm(req.Algorithm); err != nil {
+		return nil, badRequestf("%v", err)
 	}
-	if _, ok := initializerByName[strings.ToLower(req.Initializer)]; !ok {
-		return nil, badRequestf("unknown initializer %q", req.Initializer)
+	if _, err := graftmatch.ParseInitializer(req.Initializer); err != nil {
+		return nil, badRequestf("%v", err)
 	}
 	if req.Threads < 0 || req.Threads > caps.maxThreads() {
 		return nil, badRequestf("threads %d outside [0, %d]", req.Threads, caps.maxThreads())
@@ -197,9 +173,12 @@ func DecodeRequest(body []byte, caps Caps) (*Request, error) {
 // Options maps the request onto facade options (deadline, supervision, and
 // scheduler are layered on by the server).
 func (r *Request) Options() graftmatch.Options {
+	// DecodeRequest rejected unknown names, so neither parse can fail here.
+	alg, _ := graftmatch.ParseAlgorithm(r.Algorithm)
+	init, _ := graftmatch.ParseInitializer(r.Initializer)
 	return graftmatch.Options{
-		Algorithm:   algorithmByName[strings.ToLower(r.Algorithm)],
-		Initializer: initializerByName[strings.ToLower(r.Initializer)],
+		Algorithm:   alg,
+		Initializer: init,
 		Threads:     r.Threads,
 		Seed:        r.Seed,
 	}

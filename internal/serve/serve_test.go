@@ -696,28 +696,40 @@ func TestConcurrentMixedLoad(t *testing.T) {
 
 // TestCheckpointRestoreSeedsLastGood proves the cross-process degradation
 // floor: a checkpoint written by one server process becomes the next
-// process's last-good answer before it has computed anything.
+// process's last-good answer before it has computed anything — for every
+// instance, not only the ones whose snapshots are newest, since snapshot
+// retention keeps a few files per directory.
 func TestCheckpointRestoreSeedsLastGood(t *testing.T) {
+	const instances = 5
 	ckptDir := t.TempDir()
 	populate := func(dir string) {
-		writeGraph(t, filepath.Join(dir, "small.el"), 200, 200, 3, 11, false)
+		for i := 0; i < instances; i++ {
+			writeGraph(t, filepath.Join(dir, fmt.Sprintf("g%d.el", i)), 200, 200, 3, int64(11+i), false)
+		}
 	}
 
 	_, ts := newTestServer(t, Config{CheckpointDir: ckptDir}, populate)
-	_, data := postJSON(t, ts.URL+"/match", `{"instance":"small"}`)
-	first := decodeMatch(t, data)
-	if !first.Complete {
-		t.Fatalf("first run incomplete: %+v", first)
+	want := make([]int64, instances)
+	for i := range want {
+		_, data := postJSON(t, ts.URL+"/match", fmt.Sprintf(`{"instance":"g%d"}`, i))
+		first := decodeMatch(t, data)
+		if !first.Complete {
+			t.Fatalf("g%d: first run incomplete: %+v", i, first)
+		}
+		want[i] = first.Cardinality
 	}
 
-	// A fresh server process on the same checkpoint dir starts with the
-	// floor already in place.
+	// A fresh server process on the same checkpoint dir starts with every
+	// instance's floor already in place.
 	s2, _ := newTestServer(t, Config{CheckpointDir: ckptDir}, populate)
-	lg, ok := s2.cache.getLastGood("small")
-	if !ok {
-		t.Fatal("restored server has no last-good floor")
-	}
-	if lg.Cardinality != first.Cardinality {
-		t.Fatalf("restored floor |M|=%d, want %d", lg.Cardinality, first.Cardinality)
+	for i, card := range want {
+		lg, ok := s2.cache.getLastGood(fmt.Sprintf("g%d", i))
+		if !ok {
+			t.Errorf("g%d: restored server has no last-good floor", i)
+			continue
+		}
+		if lg.Cardinality != card {
+			t.Errorf("g%d: restored floor |M|=%d, want %d", i, lg.Cardinality, card)
+		}
 	}
 }

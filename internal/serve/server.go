@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,8 +59,9 @@ type Config struct {
 	Supervise *graftmatch.SuperviseOptions
 
 	// CheckpointDir, when set, persists crash-safe snapshots of match
-	// runs and — at startup — restores each instance's last-good floor
-	// from the snapshots a previous process left behind.
+	// runs, one subdirectory per instance, and — at startup — restores
+	// each instance's last-good floor from the snapshots a previous
+	// process left behind.
 	CheckpointDir string
 
 	// Recorder receives metrics and traces from the server and every
@@ -167,7 +169,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.ownsPool = true
 	}
 	if s.rec == nil {
-		s.rec = obs.New(obs.Config{Workers: s.pool.Workers()})
+		s.rec = obs.New(obs.Config{})
 	}
 	reg := s.rec.Registry()
 	s.met = serveMetrics{
@@ -194,7 +196,7 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) restoreLastGood() {
 	for _, name := range s.reg.Names() {
 		ins, _ := s.reg.Get(name)
-		st, err := graftmatch.LoadCheckpoint(ins.Graph, s.cfg.CheckpointDir)
+		st, err := graftmatch.LoadCheckpoint(ins.Graph, s.ckptDir(name))
 		if err != nil {
 			continue
 		}
@@ -207,6 +209,13 @@ func (s *Server) restoreLastGood() {
 			When:        time.Now(),
 		})
 	}
+}
+
+// ckptDir is the named instance's own snapshot directory. Snapshot
+// retention keeps the newest files of one directory, so instances sharing
+// a directory would prune each other's floors away.
+func (s *Server) ckptDir(instance string) string {
+	return filepath.Join(s.cfg.CheckpointDir, instance)
 }
 
 // Handler returns the daemon's HTTP surface:
@@ -389,7 +398,7 @@ func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *Request)) htt
 				if rc != nil {
 					rc.event = "panic"
 				}
-				s.met.panics.Add(0, 1)
+				s.met.panics.Add(1)
 				s.rec.Tracer().RecordTagged("serve", "panic", start, time.Since(start), 0, traceOf(rc))
 				writeError(w, http.StatusInternalServerError,
 					fmt.Sprintf("internal panic: %v", p), 0)
@@ -471,7 +480,7 @@ func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline 
 		opts.Threads = s.pool.Workers()
 	}
 	if s.cfg.CheckpointDir != "" {
-		opts.Checkpoint = &graftmatch.CheckpointOptions{Dir: s.cfg.CheckpointDir}
+		opts.Checkpoint = &graftmatch.CheckpointOptions{Dir: s.ckptDir(ins.Name)}
 	}
 	res, err := graftmatch.MatchContext(ctx, ins.Graph, opts)
 	if err != nil {
@@ -507,10 +516,11 @@ type matchOutcome struct {
 func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, deadline time.Time) (*matchOutcome, error) {
 	rc := reqFromCtx(ctx)
 	rec := s.rec.WithTrace(traceOf(rc))
+	opts := req.Options()
 	key := cacheKey{
 		fp:   ins.Fingerprint,
-		alg:  algorithmByName[strings.ToLower(req.Algorithm)],
-		init: initializerByName[strings.ToLower(req.Initializer)],
+		alg:  opts.Algorithm,
+		init: opts.Initializer,
 		seed: req.Seed,
 	}
 
@@ -521,7 +531,7 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 		var cached *graftmatch.Result
 		cached, fl, leader = s.cache.begin(key)
 		if cached != nil {
-			s.met.cacheHit.Add(0, 1)
+			s.met.cacheHit.Add(1)
 			rec.Span("request", "cache-hit", cacheStart, time.Since(cacheStart), 0)
 			return &matchOutcome{res: cached, source: "cache"}, nil
 		}
@@ -535,7 +545,7 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 			select {
 			case <-fl.done:
 				if fl.res != nil {
-					s.met.cacheHit.Add(0, 1)
+					s.met.cacheHit.Add(1)
 					rec.Span("request", "inflight-join", cacheStart, time.Since(cacheStart), 0)
 					return &matchOutcome{res: fl.res, source: "inflight"}, nil
 				}
@@ -587,10 +597,10 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 	// known for the instance: an earlier complete/larger matching beats
 	// this run's partial.
 	if lg, ok := s.cache.getLastGood(ins.Name); ok && lg.Cardinality > res.Cardinality {
-		s.met.degraded.Add(0, 1)
+		s.met.degraded.Add(1)
 		return &matchOutcome{lastGood: lg, source: "last-good", degraded: true}, nil
 	}
-	s.met.degraded.Add(0, 1)
+	s.met.degraded.Add(1)
 	return &matchOutcome{res: res, source: "partial", degraded: true}, nil
 }
 
@@ -601,7 +611,7 @@ func (s *Server) degrade(ctx context.Context, ins *Instance, cause error) (*matc
 		if rc := reqFromCtx(ctx); rc != nil {
 			s.rec.ReqState(rc.token, "degraded")
 		}
-		s.met.degraded.Add(0, 1)
+		s.met.degraded.Add(1)
 		return &matchOutcome{lastGood: lg, source: "last-good", degraded: true}, nil
 	}
 	if cause == nil {
@@ -628,9 +638,9 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request, req *Reques
 		s.writeFailure(w, r, err)
 		return
 	}
-	s.met.requests.Add(0, 1)
+	s.met.requests.Add(1)
 	// Exemplar links this latency bucket to the request's trace on /trace.
-	s.met.latency.ObserveEx(0, time.Since(start).Microseconds(), traceOf(reqFromCtx(r.Context())))
+	s.met.latency.ObserveEx(time.Since(start).Microseconds(), traceOf(reqFromCtx(r.Context())))
 	writeJSON(w, http.StatusOK, s.matchResponse(ins, req, out, time.Since(start)))
 }
 
@@ -719,7 +729,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request, req *Re
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
 		return
 	}
-	s.met.requests.Add(0, 1)
+	s.met.requests.Add(1)
 	resp := &DecomposeResponse{
 		Instance: ins.Name,
 		Match:    *s.matchResponse(ins, req, out, time.Since(start)),
@@ -782,7 +792,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request, req *Reques
 		writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
 		return
 	}
-	s.met.requests.Add(0, 1)
+	s.met.requests.Add(1)
 	writeJSON(w, http.StatusOK, &SolveResponse{
 		Instance:  ins.Name,
 		N:         n,
@@ -873,7 +883,7 @@ func (s *Server) writeFailure(w http.ResponseWriter, r *http.Request, err error)
 		if rc := reqFromCtx(r.Context()); rc != nil {
 			rc.event = "shed"
 		}
-		s.met.shed.Add(0, 1)
+		s.met.shed.Add(1)
 		retry := e.RetryAfter
 		if retry < time.Second {
 			retry = time.Second

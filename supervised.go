@@ -29,11 +29,6 @@ type SuperviseOptions struct {
 	// StallPhases degrades after this many consecutive phases without
 	// cardinality growth; 0 disables stall detection.
 	StallPhases int
-
-	// Grace bounds how long a cancelled engine may take to stop before it
-	// is abandoned and the supervisor proceeds with the matching copied at
-	// its last phase boundary; 0 means 10s.
-	Grace time.Duration
 }
 
 // RungReport records one engine run of a supervised run.
@@ -137,7 +132,6 @@ func superviseMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Op
 	cfg := supervise.Config{
 		PhaseTimeout: so.PhaseTimeout,
 		StallPhases:  so.StallPhases,
-		Grace:        so.Grace,
 		Recorder:     opts.Recorder,
 		Observe: func(p supervise.Progress) {
 			if w != nil {
