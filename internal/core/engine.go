@@ -26,8 +26,9 @@ var phaseHook func(*engine)
 var TestHookWorkerFault func(worker int)
 
 // engine holds the per-run state of Algorithm 3. Array roles follow §III-B:
-// visited/parent only on Y (a matched X vertex is reached via its unique
-// mate), root on both parts, leaf indexed by tree root (an X vertex).
+// parent only on Y (a matched X vertex is reached via its unique mate), root
+// on both parts, leaf indexed by tree root (an X vertex). A Y vertex is
+// visited exactly when its root is set, so rootY is also the visited flag.
 type engine struct {
 	g    *bipartite.Graph
 	m    *matching.Matching
@@ -40,16 +41,15 @@ type engine struct {
 	ctx context.Context
 	err error
 
-	visited []int32 // Y: 0 unvisited, 1 claimed by a tree this phase
 	parentY []int32 // Y: parent X vertex in its alternating tree
 	rootX   []int32 // X: root of the tree containing x, or none
-	rootY   []int32 // Y: root of the tree containing y, or none
+	rootY   []int32 // Y: root of the tree containing y, or none (unvisited)
 	leaf    []int32 // X (roots): unmatched Y leaf ending an augmenting path
 
 	cur, next *queue.Frontier // frontier F (X vertices) double buffer
 	locals    []queue.Local
 
-	// unvisitedY tracks |{y : visited[y]=0}| and unvisitedYEdges the total
+	// unvisitedY tracks |{y : rootY[y]=none}| and unvisitedYEdges the total
 	// degree of those vertices. The direction heuristic compares *edge*
 	// counts (frontier out-degree vs unvisited in-degree), as in Beamer's
 	// original direction-optimizing BFS: vertex counts systematically
@@ -58,15 +58,14 @@ type engine struct {
 	unvisitedY      int64
 	unvisitedYEdges int64
 
-	// census scratch queues (renewable/active Y).
+	// census lists (renewable/active Y), filled in index order. activeY
+	// also holds R, the unvisited Y a bottom-up level scans: a BFS level
+	// and a graftStep are never live at once.
 	renewY, activeY *queue.Frontier
 
 	// renewRoots lists the roots whose leaf went from none to a Y vertex
 	// since the last augment — exactly the renewable trees augment walks.
 	renewRoots *queue.Frontier
-
-	// unvisQ is the reusable collector of unvisited Y ids for bottom-up.
-	unvisQ *queue.Frontier
 
 	// bottomUpTripped disables bottom-up traversal for the rest of the run
 	// (nothing resets it) once a sweep's adoption rate drops below 1/α. In
@@ -130,7 +129,6 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		m:          m,
 		opts:       opts,
 		ctx:        ctx,
-		visited:    make([]int32, ny),
 		parentY:    make([]int32, ny),
 		rootX:      make([]int32, nx),
 		rootY:      make([]int32, ny),
@@ -140,7 +138,6 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 		renewY:     queue.NewFrontier(ny),
 		activeY:    queue.NewFrontier(ny),
 		renewRoots: queue.NewFrontier(nx),
-		unvisQ:     queue.NewFrontier(ny),
 		edges:      par.NewCounter(opts.Threads),
 		claims:     par.NewCounter(opts.Threads),
 		claimedDeg: par.NewCounter(opts.Threads),
@@ -157,7 +154,7 @@ func RunCtx(ctx context.Context, g *bipartite.Graph, m *matching.Matching, opts 
 	e.met = newMetrics(opts.Recorder)
 	qresv := opts.Recorder.Counter("graftmatch_queue_reservations_total",
 		"atomic block reservations on the frontier queues")
-	for _, f := range []*queue.Frontier{e.cur, e.next, e.renewY, e.activeY, e.renewRoots, e.unvisQ} {
+	for _, f := range []*queue.Frontier{e.cur, e.next, e.renewY, e.activeY, e.renewRoots} {
 		f.Instrument(qresv)
 	}
 
@@ -231,7 +228,6 @@ func (e *engine) run() {
 
 	if !e.pfor(ny, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e.visited[i] = 0
 			e.rootY[i] = none
 			e.parentY[i] = none
 		}
@@ -333,24 +329,25 @@ func (e *engine) run() {
 }
 
 // seedFrontierFromUnmatched sets every unmatched X vertex as the root of a
-// fresh singleton active tree and makes them the frontier.
+// fresh singleton active tree and makes them the frontier, in index order
+// (an ordered fill), as a serial sweep would.
 func (e *engine) seedFrontierFromUnmatched() {
-	e.cur.Reset()
 	mateX := e.m.MateX
 	e.pfor(len(mateX), func(w, lo, hi int) {
 		l := &e.locals[w]
-		l.Rebind(e.cur)
+		out, n := l.Out(0, e.cur, lo, hi), 0
 		for i := lo; i < hi; i++ {
 			if mateX[i] == none {
 				x := int32(i)
 				e.rootX[x] = x
 				e.leaf[x] = none
-				l.Push(x)
+				out[n] = x
+				n++
 			}
 		}
-		l.Flush()
-		l.Rebind(e.next)
+		l.Wrote(0, n)
 	})
+	e.cur.Gather(e.locals, 0)
 }
 
 // useTopDown applies the direction heuristic: top-down while the frontier's
@@ -373,11 +370,12 @@ func (e *engine) useTopDown() bool {
 }
 
 // topDown is Algorithm 4: expand every frontier vertex of an active tree,
-// claiming unvisited Y neighbors by CAS (test before CAS to avoid wasted
-// atomics). Matched claims push the mate into the next frontier; unmatched
-// claims record an augmenting path end in leaf[root] (benign race: the last
-// writer wins and the tree keeps exactly one path), and the claim that finds
-// leaf[root] unset appends root to renewRoots.
+// claiming unvisited Y neighbors by CAS of rootY from none to the tree's root
+// (test before CAS to avoid wasted atomics). Matched claims push the mate
+// into the next frontier; unmatched claims record an augmenting path end in
+// leaf[root] (benign race: the last writer wins and the tree keeps exactly
+// one path), and the claim that finds leaf[root] unset appends root to
+// renewRoots.
 func (e *engine) topDown() {
 	if e.opts.Threads == 1 {
 		e.topDownSerial()
@@ -400,16 +398,15 @@ func (e *engine) topDown() {
 			nbr := e.g.NbrX(x)
 			edges += int64(len(nbr))
 			for _, y := range nbr {
-				if atomic.LoadInt32(&e.visited[y]) != 0 {
+				if atomic.LoadInt32(&e.rootY[y]) != none {
 					continue
 				}
-				if !atomic.CompareAndSwapInt32(&e.visited[y], 0, 1) {
+				if !atomic.CompareAndSwapInt32(&e.rootY[y], none, root) {
 					continue
 				}
 				claims++
 				claimedDeg += e.g.DegY(y)
 				e.parentY[y] = x
-				e.rootY[y] = root
 				if mate := mateY[y]; mate != none {
 					e.rootX[mate] = root
 					l.Push(mate)
@@ -441,10 +438,9 @@ func (e *engine) topDownSerial() {
 		nbr := e.g.NbrX(x)
 		edges += int64(len(nbr))
 		for _, y := range nbr {
-			if e.visited[y] != 0 {
+			if e.rootY[y] != none {
 				continue
 			}
-			e.visited[y] = 1
 			claims++
 			claimedDeg += e.g.DegY(y)
 			e.parentY[y] = x
@@ -466,31 +462,28 @@ func (e *engine) topDownSerial() {
 	e.claimedDeg.Add(0, claimedDeg)
 }
 
-// collectUnvisitedY gathers the ids of unvisited Y vertices into a reusable
-// buffer — the set R scanned by a regular bottom-up step.
+// collectUnvisitedY gathers the ids of unvisited Y vertices in index order
+// (an ordered fill into activeY's storage) — the set R scanned by a regular
+// bottom-up step.
 func (e *engine) collectUnvisitedY() []int32 {
-	e.unvisQ.Reset()
 	e.pfor(len(e.rootY), func(w, lo, hi int) {
-		var buf [256]int32
-		n := 0
+		l := &e.locals[w]
+		out, n := l.Out(0, e.activeY, lo, hi), 0
 		for y := lo; y < hi; y++ {
-			if e.visited[y] == 0 {
-				if n == len(buf) {
-					e.unvisQ.PushBlock(buf[:n])
-					n = 0
-				}
-				buf[n] = int32(y)
+			if e.rootY[y] == none {
+				out[n] = int32(y)
 				n++
 			}
 		}
-		e.unvisQ.PushBlock(buf[:n])
+		l.Wrote(0, n)
 	})
-	return e.unvisQ.Slice()
+	e.activeY.Gather(e.locals, 0)
+	return e.activeY.Slice()
 }
 
 // bottomUp is Algorithm 6: every y in R scans its neighbors and joins the
 // first one found in an active tree, then stops. Each y is owned by exactly
-// one worker, so visited/parent/root of y need no atomics; only the shared
+// one worker, so parent/root of y need no atomics; only the shared
 // leaf[root] reads/writes and the mate push do.
 func (e *engine) bottomUp(r []int32) {
 	if e.opts.Threads == 1 {
@@ -514,7 +507,6 @@ func (e *engine) bottomUp(r []int32) {
 				}
 				claims++
 				claimedDeg += e.g.DegY(y)
-				e.visited[y] = 1
 				e.parentY[y] = x
 				e.rootY[y] = root
 				if mate := mateY[y]; mate != none {
@@ -547,7 +539,6 @@ func (e *engine) bottomUpSerial(r []int32) {
 			}
 			claims++
 			claimedDeg += e.g.DegY(y)
-			e.visited[y] = 1
 			e.parentY[y] = x
 			e.rootY[y] = root
 			if mate := mateY[y]; mate != none {
@@ -628,15 +619,15 @@ func (e *engine) cardinality() int64 {
 // grafts renewableY onto the active forest bottom-up or destroys everything
 // and restarts from the unmatched X vertices.
 func (e *engine) graftStep() {
-	// Census (lines 2–4): classify Y by leaf[root], in index order, which
-	// fixes the graft's adoption order. X needs no sweep: after augment
-	// every unmatched X roots an active tree and every other active X is
-	// the mate of an active (hence matched) Y.
+	// Census (lines 2–4): classify Y by leaf[root] into two lists in index
+	// order at every thread count (an ordered fill), which fixes the graft's
+	// adoption order. X needs no sweep: after augment every unmatched X
+	// roots an active tree and every other active X is the mate of an
+	// active (hence matched) Y.
 	t := time.Now()
-	e.activeY.Reset()
-	e.renewY.Reset()
-	if !e.pfor(len(e.rootY), func(w, lo, hi int) {
-		var act, ren [256]int32
+	ok := e.pfor(len(e.rootY), func(w, lo, hi int) {
+		l := &e.locals[w]
+		act, ren := l.Out(0, e.activeY, lo, hi), l.Out(1, e.renewY, lo, hi)
 		na, nr := 0, 0
 		for i := lo; i < hi; i++ {
 			r := e.rootY[i]
@@ -644,24 +635,19 @@ func (e *engine) graftStep() {
 				continue
 			}
 			if e.leaf[r] == none {
-				if na == len(act) {
-					e.activeY.PushBlock(act[:na])
-					na = 0
-				}
 				act[na] = int32(i)
 				na++
 			} else {
-				if nr == len(ren) {
-					e.renewY.PushBlock(ren[:nr])
-					nr = 0
-				}
 				ren[nr] = int32(i)
 				nr++
 			}
 		}
-		e.activeY.PushBlock(act[:na])
-		e.renewY.PushBlock(ren[:nr])
-	}) {
+		l.Wrote(0, na)
+		l.Wrote(1, nr)
+	})
+	e.activeY.Gather(e.locals, 0)
+	e.renewY.Gather(e.locals, 1)
+	if !ok {
 		return
 	}
 	activeX := int64(len(e.rootX)) - e.cardinality() + int64(e.activeY.Len())
@@ -676,7 +662,6 @@ func (e *engine) graftStep() {
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := renewable[i]
-			e.visited[y] = 0
 			e.rootY[y] = none
 			e.parentY[y] = none
 			deg += e.g.DegY(y)
@@ -712,7 +697,6 @@ func (e *engine) graftStep() {
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := active[i]
-			e.visited[y] = 0
 			e.rootY[y] = none
 			e.parentY[y] = none
 			e.rootX[mateY[y]] = none

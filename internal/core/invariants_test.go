@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"graftmatch/internal/bipartite"
@@ -14,7 +15,7 @@ import (
 // alternating BFS forest at a phase boundary — after the BFS, or after the
 // graft or rebuild that seeds the next one (§III-B):
 //
-//  1. every visited Y has a parent that is a real edge and a root;
+//  1. every visited Y (its root set) has a parent that is a real edge;
 //  2. following parent/mate pointers from any visited Y reaches its root
 //     along a valid alternating path, and root[] agrees along the way;
 //  3. roots are unmatched X vertices (root[x] = x);
@@ -28,10 +29,8 @@ func checkForestInvariants(t *testing.T, e *engine) {
 	g := e.g
 	for yi := 0; yi < int(g.NY()); yi++ {
 		y := int32(yi)
-		if e.visited[y] == 0 {
-			if e.rootY[y] != none {
-				t.Fatalf("unvisited y=%d has root %d", y, e.rootY[y])
-			}
+		root := e.rootY[y]
+		if root == none {
 			continue
 		}
 		x := e.parentY[y]
@@ -40,10 +39,6 @@ func checkForestInvariants(t *testing.T, e *engine) {
 		}
 		if !g.HasEdge(x, y) {
 			t.Fatalf("parent edge (%d,%d) does not exist", x, y)
-		}
-		root := e.rootY[y]
-		if root == none {
-			t.Fatalf("visited y=%d has no root", y)
 		}
 		// Walk y → root via parent/mate pointers, bounded by 2n hops.
 		cur := y
@@ -84,9 +79,6 @@ func checkForestInvariants(t *testing.T, e *engine) {
 			continue
 		}
 		if leaf := e.leaf[x]; leaf != none {
-			if e.visited[leaf] == 0 {
-				t.Fatalf("leaf[%d]=%d not visited", x, leaf)
-			}
 			if e.m.MateY[leaf] != none {
 				t.Fatalf("leaf[%d]=%d is matched", x, leaf)
 			}
@@ -207,6 +199,62 @@ func TestPhaseInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+	}
+}
+
+// TestFillOrder pins the ordered fills at p ≥ 2: after every graft or
+// rebuild the census lists activeY and renewY are strictly increasing (the
+// renewable list fixes the graft's adoption order), and after every rebuild
+// the frontier holds exactly the unmatched X vertices in increasing order,
+// as a serial sweep leaves them.
+func TestFillOrder(t *testing.T) {
+	defer func() { phaseHook = nil }()
+	for _, p := range []int{2, 4} {
+		for _, grafting := range []bool{false, true} {
+			opts := Options{Threads: p, DirectionOptimized: true, Grafting: grafting}.Defaults()
+			var grafts, rebuilds int64
+			for seed := int64(1); seed <= 3; seed++ {
+				g := gen.WebLike(14, 6, 0.30, seed)
+				m := matchinit.Greedy(g)
+				phaseHook = func(e *engine) {
+					if e.stats.Grafts == grafts && e.stats.Rebuilds == rebuilds {
+						return // the hook after a BFS
+					}
+					where := fmt.Sprintf("p=%d grafting=%v seed %d phase %d", p, grafting, seed, e.stats.Phases)
+					checkIncreasing(t, where+" activeY", e.activeY.Slice())
+					checkIncreasing(t, where+" renewY", e.renewY.Slice())
+					if e.stats.Rebuilds > rebuilds {
+						var want []int32
+						for x, y := range e.m.MateX {
+							if y == none {
+								want = append(want, int32(x))
+							}
+						}
+						if got := e.cur.Slice(); !slices.Equal(got, want) {
+							t.Fatalf("%s: rebuilt frontier has %d vertices, want the %d unmatched X in order", where, len(got), len(want))
+						}
+					}
+					grafts, rebuilds = e.stats.Grafts, e.stats.Rebuilds
+				}
+				st := Run(g, m, opts)
+				if err := matching.VerifyMaximum(g, m); err != nil {
+					t.Fatal(err)
+				}
+				grafts, rebuilds = 0, 0
+				if grafting && st.Grafts == 0 || !grafting && st.Rebuilds == 0 {
+					t.Fatalf("p=%d grafting=%v seed %d: %d grafts, %d rebuilds", p, grafting, seed, st.Grafts, st.Rebuilds)
+				}
+			}
+		}
+	}
+}
+
+func checkIncreasing(t *testing.T, what string, s []int32) {
+	t.Helper()
+	for i := 1; i < len(s); i++ {
+		if s[i] <= s[i-1] {
+			t.Fatalf("%s: entry %d is %d after %d", what, i, s[i], s[i-1])
 		}
 	}
 }

@@ -122,7 +122,7 @@ func Fig7XL(cfg Config) *Table {
 	cfg = cfg.defaults()
 	defer cfg.obsTable("Fig7XL")()
 	t := &Table{
-		Title:  "Fig. 7 (XL): contributions on larger single instances",
+		Title:  fmt.Sprintf("Fig. 7 (XL): contributions on larger single instances (%d threads)", cfg.Threads),
 		Header: []string{"graph", "n", "MS-BFS(ms)", "+DirOpt", "+Graft", "+Both"},
 	}
 	instances := []Instance{

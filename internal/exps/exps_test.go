@@ -222,6 +222,19 @@ func TestFig7Shape(t *testing.T) {
 	}
 }
 
+// TestFig7XLShape runs the XL ablation once. Its title must name the thread
+// count, as Fig7's does: matchbench runs it at GOMAXPROCS unless -threads
+// says otherwise.
+func TestFig7XLShape(t *testing.T) {
+	tab := Fig7XL(smallCfg)
+	if want := "(2 threads)"; !strings.HasSuffix(tab.Title, want) {
+		t.Fatalf("fig7xl title %q does not end in %q", tab.Title, want)
+	}
+	if len(tab.Rows) != 3 || len(tab.Header) != 6 {
+		t.Fatalf("fig7xl shape: %d rows %d cols", len(tab.Rows), len(tab.Header))
+	}
+}
+
 func TestFig8Shape(t *testing.T) {
 	tab := Fig8(smallCfg)
 	if len(tab.Rows) == 0 {

@@ -4,7 +4,8 @@
 // stay in the local cache. A worker appends to its private buffer and, when
 // the buffer fills, reserves a contiguous region of the global array with a
 // single fetch-and-add and copies the buffer out. This keeps contention to
-// one atomic per LocalCap insertions.
+// one atomic per LocalCap insertions. Sweeps whose output order matters
+// fill a Frontier in index order instead (see Local.Out).
 package queue
 
 import (
@@ -94,17 +95,25 @@ func (f *Frontier) Swap(o *Frontier) {
 	o.n.Store(n)
 }
 
-// Local is a per-worker staging buffer bound to a Frontier.
+// Local is a per-worker staging buffer bound to a Frontier. It also keeps
+// the worker's runs of an ordered fill (see Out).
 type Local struct {
 	dst *Frontier
 	buf [LocalCap]int32
 	n   int
-	// Pad the struct to a whole number of cache lines (4112 B of fields +
-	// 48 B = 65 lines) so adjacent Locals in the per-worker slice never
+	// runs[k] is the worker's run in the k-th list of an ordered fill; two,
+	// because the widest fill sorts one sweep into two lists.
+	runs [2]run
+	// Pad the struct to a whole number of cache lines (4144 B of fields +
+	// 16 B = 65 lines) so adjacent Locals in the per-worker slice never
 	// split a line: the hot n/tail words of worker w and the dst/head of
 	// worker w+1 would otherwise ping-pong one line between cores.
-	_ [48]byte
+	_ [16]byte
 }
+
+// run is a worker's contiguous entries buf[lo : lo+n] of a Frontier being
+// filled in order.
+type run struct{ lo, n int }
 
 // NewLocals returns p Locals all flushing into dst.
 func NewLocals(p int, dst *Frontier) []Local {
@@ -113,15 +122,6 @@ func NewLocals(p int, dst *Frontier) []Local {
 		ls[i].dst = dst
 	}
 	return ls
-}
-
-// Rebind points the local buffer at a (possibly different) destination
-// frontier; the buffer must be empty.
-func (l *Local) Rebind(dst *Frontier) {
-	if l.n != 0 {
-		panic("queue: Rebind with buffered entries") //lint:ignore err-checked misuse assertion: rebinding a non-empty buffer silently drops vertices
-	}
-	l.dst = dst
 }
 
 // Push appends v to the local buffer, flushing to the global frontier when
@@ -142,4 +142,54 @@ func (l *Local) Flush() {
 		l.dst.PushBlock(l.buf[:l.n])
 		l.n = 0
 	}
+}
+
+// Out returns the space for the entries of the worker's block [lo, hi) in
+// f, the k-th list of an ordered fill: f's storage from the end of the
+// worker's run on, up to hi. An empty run (re)starts at lo, so a run always
+// lies inside its worker's slice.
+//
+// An ordered fill lists entries in index order at any worker count, in one
+// pass over the input and with no atomics. It takes a statically scheduled
+// region over [0, n) whose worker ids are its slice order, as in par's
+// static regions, in which every index yields at most one entry per list,
+// and up to two Frontiers of capacity ≥ n. Each worker writes its entries
+// straight into a frontier's storage from the first index of its slice on,
+// so its run never reaches the next worker's slice; after the join, Gather
+// closes the gaps with one copy per worker. Worker w's block [lo, hi) of a
+// fill into f, its k-th list, runs
+//
+//	out := ls[w].Out(k, f, lo, hi)
+//	j := 0
+//	for i := lo; i < hi; i++ { if hit(i) { out[j] = v(i); j++ } }
+//	ls[w].Wrote(k, j)
+//
+// and the caller ends the fill with f.Gather(ls, k) after the join, whether
+// or not the region completed.
+func (l *Local) Out(k int, f *Frontier, lo, hi int) []int32 {
+	r := &l.runs[k]
+	if r.n == 0 {
+		r.lo = lo
+	}
+	return f.buf[r.lo+r.n : hi]
+}
+
+// Wrote extends the worker's run in the k-th list by the j entries it wrote
+// at the start of the space Out returned.
+func (l *Local) Wrote(k, j int) { l.runs[k].n += j }
+
+// Gather ends an ordered fill of f, the k-th list of ls's runs: it moves the
+// runs, in worker order, to the front of f's storage, sets f's length to
+// their total and empties the runs.
+func (f *Frontier) Gather(ls []Local, k int) {
+	n := 0
+	for i := range ls {
+		r := &ls[i].runs[k]
+		if r.lo != n { // a lone worker's run is usually in place already
+			copy(f.buf[n:], f.buf[r.lo:r.lo+r.n])
+		}
+		n += r.n
+		*r = run{}
+	}
+	f.n.Store(int64(n))
 }

@@ -1,9 +1,12 @@
 package queue
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
+
+	"graftmatch/internal/par"
 )
 
 func TestFrontierPushAndSlice(t *testing.T) {
@@ -110,31 +113,72 @@ func TestLocalAutoFlushOnFill(t *testing.T) {
 	}
 }
 
-func TestRebind(t *testing.T) {
-	a := NewFrontier(4)
-	b := NewFrontier(4)
-	ls := NewLocals(1, a)
-	ls[0].Push(1)
-	ls[0].Flush()
-	ls[0].Rebind(b)
-	ls[0].Push(2)
-	ls[0].Flush()
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("rebind routed wrong: a=%d b=%d", a.Len(), b.Len())
+// TestOrderedFill sorts [0, n) into two lists in one statically scheduled
+// region, on both of par's executors, and compares each list with a serial
+// filter: both must come out in index order at every worker count. Each
+// case fills the same frontiers twice, so Gather must leave the runs empty.
+func TestOrderedFill(t *testing.T) {
+	const big = 20000 // several par blocks per worker at p ≤ 4
+	cases := []struct {
+		name string
+		n    int
+		hit  func(i int) bool
+	}{
+		{"empty", 0, func(int) bool { return true }},
+		{"fewer indices than workers", 3, func(i int) bool { return i != 1 }},
+		{"later workers without hits", big, func(i int) bool { return i < big/5 }},
+		{"first block of a slice without hits", big, func(i int) bool { return i%6000 > 5000 }},
+		{"every index a hit", big, func(int) bool { return true }},
+	}
+	pool := par.NewPool(2)
+	defer pool.Close()
+	for _, tc := range cases {
+		var want [2][]int32
+		for i := 0; i < tc.n; i++ {
+			k := 1
+			if tc.hit(i) {
+				k = 0
+			}
+			want[k] = append(want[k], int32(i))
+		}
+		for _, pl := range []*par.Pool{nil, pool} {
+			for _, p := range []int{1, 2, 3, 4} {
+				lists := [2]*Frontier{NewFrontier(tc.n), NewFrontier(tc.n)}
+				ls := NewLocals(p, nil)
+				for rep := 0; rep < 2; rep++ {
+					err := pl.ForCtx(nil, p, tc.n, func(w, lo, hi int) {
+						l := &ls[w]
+						hits, misses := l.Out(0, lists[0], lo, hi), l.Out(1, lists[1], lo, hi)
+						nh, nm := 0, 0
+						for i := lo; i < hi; i++ {
+							if tc.hit(i) {
+								hits[nh] = int32(i)
+								nh++
+							} else {
+								misses[nm] = int32(i)
+								nm++
+							}
+						}
+						l.Wrote(0, nh)
+						l.Wrote(1, nm)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, f := range lists {
+						f.Gather(ls, k)
+						if got := f.Slice(); !slices.Equal(got, want[k]) {
+							t.Fatalf("%s, pool %v, p=%d, fill %d: list %d has %d entries %v..., want %d %v...",
+								tc.name, pl != nil, p, rep, k, len(got), head(got), len(want[k]), head(want[k]))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
-func TestRebindPanicsWithBufferedEntries(t *testing.T) {
-	a := NewFrontier(4)
-	ls := NewLocals(1, a)
-	ls[0].Push(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic")
-		}
-	}()
-	ls[0].Rebind(NewFrontier(4))
-}
+func head(s []int32) []int32 { return s[:min(len(s), 8)] }
 
 // TestConcurrentProducers checks that many goroutines pushing through
 // locals lose nothing and duplicate nothing.
