@@ -178,11 +178,12 @@ type Coordinator struct {
 	opts ClusterOptions
 	fp   checkpoint.Fingerprint
 
-	ln    gonet.Listener
-	slots []*slot
-	mu    sync.Mutex // guards handshake slot assignment
-	epoch atomic.Uint64
-	trace uint64 // run trace id, minted at construction, immutable after
+	ln     gonet.Listener
+	slots  []*slot
+	mu     sync.Mutex    // guards handshake slot assignment
+	joined chan struct{} // one buffered wake-up: a handshake attached a rank
+	epoch  atomic.Uint64
+	trace  uint64 // run trace id, minted at construction, immutable after
 
 	mon *distnet.Monitor
 
@@ -193,8 +194,10 @@ type Coordinator struct {
 
 	// Driver-owned superstep state (no locking: single driver goroutine).
 	// lastGood is the recovery anchor: the matching gathered at the last
-	// phase boundary, which every epoch rescatters.
+	// phase boundary, which every epoch rescatters. tick is the run's one
+	// liveness ticker, read by every gather.
 	ssid     uint64
+	tick     *time.Ticker
 	inboxes  [][]message
 	renewNew []int32
 	stepBuf  []byte
@@ -219,12 +222,13 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 		return nil, err
 	}
 	c := &Coordinator{
-		g:    g,
-		part: NewPartition(opts.Ranks, g.NX(), g.NY()),
-		opts: opts,
-		fp:   checkpoint.GraphFingerprint(g),
-		ln:   ln,
-		mon:  distnet.NewMonitor(),
+		g:      g,
+		part:   NewPartition(opts.Ranks, g.NX(), g.NY()),
+		opts:   opts,
+		fp:     checkpoint.GraphFingerprint(g),
+		ln:     ln,
+		joined: make(chan struct{}, 1),
+		mon:    distnet.NewMonitor(),
 	}
 	c.op = ops{g: g, part: c.part}
 	c.slots = make([]*slot, c.part.K)
@@ -358,6 +362,10 @@ func (c *Coordinator) handshake(raw gonet.Conn) {
 	s.mu.Unlock()
 	c.attaches.Add(1)
 	c.mon.Touch(s.rank)
+	select {
+	case c.joined <- struct{}{}:
+	default: // a wake-up is already pending; the driver recounts the slots
+	}
 	c.wg.Add(2)
 	go c.pump(s, conn, pumped)
 	go func() {
@@ -577,12 +585,16 @@ func (c *Coordinator) noteRanks(op byte, results []stepDoneFrame) {
 	c.rec.Tracer().Ingest(c.spans)
 }
 
-// gather waits for rank's response to (epoch, ssid), discarding stale frames
-// and watching the failure detector while it waits.
+// gather waits for rank's response to (epoch, ssid), discarding stale frames.
+// A lost connection ends the wait at once: the rank's pump exits, and gather
+// wakes on it. The run's heartbeat ticker covers a rank that stays connected
+// but falls silent past its lease; its channel buffers one tick, so a tick
+// left over from an earlier gather only makes that check early.
 func (c *Coordinator) gather(ctx context.Context, rank int, epoch, ssid uint64) (stepDoneFrame, error) {
 	s := c.slots[rank]
-	tick := time.NewTicker(c.opts.Heartbeat)
-	defer tick.Stop()
+	s.mu.Lock()
+	pumped := s.pumped
+	s.mu.Unlock()
 	for {
 		select {
 		case f := <-s.frames:
@@ -590,7 +602,21 @@ func (c *Coordinator) gather(ctx context.Context, rank int, epoch, ssid uint64) 
 				continue // leftover from a pre-recovery order
 			}
 			return f, nil
-		case <-tick.C:
+		case <-pumped:
+			// The pump queued every frame it decoded before it exited, so a
+			// response that beat the failure is taken; otherwise the rank
+			// is dead.
+			for {
+				select {
+				case f := <-s.frames:
+					if f.Epoch == epoch && f.SSID == ssid {
+						return f, nil
+					}
+				default:
+					return stepDoneFrame{}, &distnet.PeerDownError{Peer: rank, MissedFor: "connection lost"} //lint:ignore hotpath-alloc error exit, taken at most once per round
+				}
+			}
+		case <-c.tick.C:
 			if err := c.dead(rank); err != nil {
 				return stepDoneFrame{}, err
 			}
@@ -641,6 +667,8 @@ func (c *Coordinator) Run(ctx context.Context, m *matching.Matching) (ClusterSta
 		}
 	}
 	c.lastGood = lastGood
+	c.tick = time.NewTicker(c.opts.Heartbeat)
+	defer c.tick.Stop()
 
 	err := c.awaitCluster(ctx)
 	if err == nil {
@@ -656,12 +684,15 @@ func (c *Coordinator) Run(ctx context.Context, m *matching.Matching) (ClusterSta
 	return c.stats, err
 }
 
-// awaitCluster waits (up to rejoinWait) for all K ranks to have joined, so a
-// straggling first join reads as startup, not as a rank death to recover.
+// awaitCluster waits, up to rejoinWait, until every slot holds an
+// incarnation: at Run's start, so a straggling first join reads as startup
+// and not as a rank death to recover, and in recovery, for the replacement.
+// Every attach signals c.joined, so the wait ends with the last join. The
+// signal buffers one wake-up and the slots are recounted after each, so no
+// join is missed.
 func (c *Coordinator) awaitCluster(ctx context.Context) error {
-	deadline := time.Now().Add(rejoinWait)
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
+	timeout := time.NewTimer(rejoinWait)
+	defer timeout.Stop()
 	for {
 		joined := 0
 		for _, s := range c.slots {
@@ -672,13 +703,12 @@ func (c *Coordinator) awaitCluster(ctx context.Context) error {
 		if joined == c.part.K {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dist: %d of %d ranks joined within %v", joined, c.part.K, rejoinWait) //lint:ignore hotpath-alloc error exit of a 10ms-tick wait loop
-		}
 		select {
+		case <-c.joined:
+		case <-timeout.C:
+			return fmt.Errorf("dist: %d of %d ranks joined within %v", joined, c.part.K, rejoinWait) //lint:ignore hotpath-alloc error exit of a wait loop that runs once per join
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-tick.C:
 		}
 	}
 }
@@ -724,7 +754,7 @@ func asRankDead(err error, target **errRankDead) bool {
 
 // recoverRank replaces a dead rank: bury the old incarnation by closing its
 // connection, bump the epoch (in-flight traffic from before is now stale by
-// construction), request a respawn, and wait for the replacement to join.
+// construction), request a respawn, and wait for the replacement's Hello.
 func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 	began := time.Now()
 	c.stats.RankDeaths++
@@ -750,26 +780,13 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 			return err
 		}
 	}
-
-	deadline := time.Now().Add(rejoinWait)
-	tick := time.NewTicker(c.opts.Heartbeat / 2)
-	defer tick.Stop()
-	for {
-		if s.attached() {
-			d := time.Since(began)
-			c.stats.RecoveryTime += d
-			c.mRecMilli.Add(d.Milliseconds())
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replacement for rank %d did not join within %v", rank, rejoinWait) //lint:ignore hotpath-alloc error exit of a heartbeat-tick wait loop
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
+	if err := c.awaitCluster(ctx); err != nil {
+		return err
 	}
+	d := time.Since(began)
+	c.stats.RecoveryTime += d
+	c.mRecMilli.Add(d.Milliseconds())
+	return nil
 }
 
 // drainFrames empties a slot's response queue so a new epoch starts clean.

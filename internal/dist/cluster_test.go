@@ -222,14 +222,13 @@ func TestClusterUnixSocket(t *testing.T) {
 	}
 }
 
-// TestClusterKillRespawnRecovers is the headline fault drill: a rank dies
-// mid-run (its process context is cut with no farewell), the coordinator
-// detects the death by its lost connection, respawns the rank, rolls every
-// rank back to the last phase-boundary matching, and still finishes with a
-// verified maximum matching at the reference cardinality.
-func TestClusterKillRespawnRecovers(t *testing.T) {
-	g := gen.ER(500, 500, 1500, 33)
-	want := refCardinality(g)
+// runKillRespawn runs a 4-rank cluster over g from the empty matching and
+// kills rank 2 at the first phase boundary: its worker's context is cut with
+// no farewell, and opts.Respawn starts a replacement at once. It returns the
+// matching, the stats, Run's wall time, and how many workers exited with an
+// error.
+func runKillRespawn(t *testing.T, g *bipartite.Graph, opts ClusterOptions) (*matching.Matching, ClusterStats, time.Duration, int) {
+	t.Helper()
 	const victim = 2
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -240,7 +239,7 @@ func TestClusterKillRespawnRecovers(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	var addr string
-	opts := testClusterOpts()
+	opts.Ranks = 4
 	opts.Respawn = func(rank int) error {
 		startWorker(ctx, &wg, errs, testWorkerOpts(addr, rank, g))
 		return nil
@@ -256,7 +255,7 @@ func TestClusterKillRespawnRecovers(t *testing.T) {
 	}
 	defer c.Close()
 	addr = c.Addr()
-	for i := 0; i < 4; i++ {
+	for i := 0; i < opts.Ranks; i++ {
 		wctx := ctx
 		if i == victim {
 			wctx = victimCtx
@@ -265,7 +264,9 @@ func TestClusterKillRespawnRecovers(t *testing.T) {
 	}
 
 	m := matching.New(g.NX(), g.NY())
+	start := time.Now()
 	s, err := c.Run(ctx, m)
+	took := time.Since(start)
 	if err != nil {
 		cancel()
 		wg.Wait()
@@ -279,6 +280,18 @@ func TestClusterKillRespawnRecovers(t *testing.T) {
 			failed++
 		}
 	}
+	return m, s, took, failed
+}
+
+// TestClusterKillRespawnRecovers is the headline fault drill: a rank dies
+// mid-run (its process context is cut with no farewell), the coordinator
+// detects the death by its lost connection, respawns the rank, rolls every
+// rank back to the last phase-boundary matching, and still finishes with a
+// verified maximum matching at the reference cardinality.
+func TestClusterKillRespawnRecovers(t *testing.T) {
+	g := gen.ER(500, 500, 1500, 33)
+	want := refCardinality(g)
+	m, s, _, failed := runKillRespawn(t, g, testClusterOpts())
 
 	if failed != 1 {
 		t.Errorf("%d workers exited with errors, want exactly the killed one", failed)
@@ -298,6 +311,32 @@ func TestClusterKillRespawnRecovers(t *testing.T) {
 	if m.Cardinality() != want {
 		t.Fatalf("cardinality %d, want %d", m.Cardinality(), want)
 	}
+}
+
+// TestRecoveryWaitsOnEvents: the kill-respawn drill at a 2 s heartbeat. The
+// driver wakes when the dead rank's connection drops and again when its
+// replacement joins, so neither the detection nor the rejoin waits out a
+// heartbeat tick, and the whole run ends long before the first tick would.
+func TestRecoveryWaitsOnEvents(t *testing.T) {
+	g := gen.ER(500, 500, 1500, 33)
+	want := refCardinality(g)
+	opts := testClusterOpts()
+	opts.Heartbeat = 2 * time.Second
+	m, s, took, _ := runKillRespawn(t, g, opts)
+
+	if took > 1500*time.Millisecond {
+		t.Errorf("Run took %v, want under 1.5s: a wait is polling at the 2s heartbeat", took)
+	}
+	if s.RankDeaths != 1 {
+		t.Errorf("deaths=%d, want 1", s.RankDeaths)
+	}
+	if s.RecoveryTime >= 500*time.Millisecond {
+		t.Errorf("recovery took %v, want under 500ms: the rejoin wait is polling", s.RecoveryTime)
+	}
+	if m.Cardinality() != want {
+		t.Fatalf("cardinality %d, want %d", m.Cardinality(), want)
+	}
+	t.Logf("Run %v, recovery %v", took, s.RecoveryTime)
 }
 
 // TestClusterChaosConverges: with every worker connected through a chaos

@@ -152,34 +152,81 @@ func TestMoreRanksThanVertices(t *testing.T) {
 	}
 }
 
+// pathGraph is the path X0–Y0–X1–Y1–…–X(n-1)–Y(n-1), and pathMatching
+// matches X(i+1)–Y(i), so the one augmenting path runs the whole length.
+func pathGraph(n int32) *bipartite.Graph {
+	var edges []bipartite.Edge
+	for i := int32(0); i < n; i++ {
+		edges = append(edges, bipartite.Edge{X: i, Y: i})
+		if i+1 < n {
+			edges = append(edges, bipartite.Edge{X: i + 1, Y: i})
+		}
+	}
+	return bipartite.MustFromEdges(n, n, edges)
+}
+
+func pathMatching(n int32) *matching.Matching {
+	m := matching.New(n, n)
+	for i := int32(0); i+1 < n; i++ {
+		m.Match(i+1, i)
+	}
+	return m
+}
+
 // TestSuperstepsScaleWithPathLength: a long path graph needs supersteps
-// proportional to its depth (the latency cost the paper's intro warns
-// about for long augmenting paths).
+// proportional to its depth (the latency cost the paper's intro warns about
+// for long augmenting paths). The cost is the BFS: three rounds per level.
+// The walk back along the path costs one round per change of owner, not one
+// per hop (TestAugmentWalkRoundsPerOwnerChange).
 func TestSuperstepsScaleWithPathLength(t *testing.T) {
-	mk := func(n int32) *bipartite.Graph {
-		var edges []bipartite.Edge
-		for i := int32(0); i < n; i++ {
-			edges = append(edges, bipartite.Edge{X: i, Y: i})
-			if i+1 < n {
-				edges = append(edges, bipartite.Edge{X: i + 1, Y: i})
-			}
-		}
-		return bipartite.MustFromEdges(n, n, edges)
-	}
-	short := mk(8)
-	long := mk(256)
-	pre := func(g *bipartite.Graph, n int32) *matching.Matching {
-		m := matching.New(n, n)
-		for i := int32(0); i+1 < n; i++ {
-			m.Match(i+1, i)
-		}
-		return m
-	}
-	sShort := Run(short, pre(short, 8), Options{Ranks: 4})
-	sLong := Run(long, pre(long, 256), Options{Ranks: 4})
+	sShort := Run(pathGraph(8), pathMatching(8), Options{Ranks: 4})
+	sLong := Run(pathGraph(256), pathMatching(256), Options{Ranks: 4})
 	if sLong.Supersteps <= sShort.Supersteps {
 		t.Fatalf("superstep count insensitive to path length: %d vs %d",
 			sLong.Supersteps, sShort.Supersteps)
+	}
+}
+
+// augStepCounter counts the aug-step rounds a runtime runs.
+type augStepCounter struct {
+	superstepper
+	rounds int64
+}
+
+func (c *augStepCounter) round(ctx context.Context, op byte) ([2]int64, int64, error) {
+	if op == opAugStep {
+		c.rounds++
+	}
+	return c.superstepper.round(ctx, op)
+}
+
+// TestAugmentWalkRoundsPerOwnerChange: a rank carries a walk for as long as
+// it owns the walk's next vertex, so the 512-hop walk of the 256-vertex path
+// takes one aug-step round per change of owner. Under the block partition
+// the walk runs from Y255 (on the last rank) down to X0 (on rank 0), so at K
+// ranks it changes owner K-1 times on the way plus once at aug-init, when the
+// root's rank hands the walk to the leaf's; K=1 needs no aug-step round at
+// all.
+func TestAugmentWalkRoundsPerOwnerChange(t *testing.T) {
+	const n = 256
+	g := pathGraph(n)
+	for _, k := range []int{1, 2, 4} {
+		e := New(g, Options{Ranks: k})
+		e.stats.Stats = &matching.Stats{}
+		m := pathMatching(n)
+		e.scatter(m)
+		rt := &augStepCounter{superstepper: e}
+		if err := runPhases(context.Background(), rt, &e.stats, e.opts.Grafting, e.opts.Alpha); err != nil {
+			t.Fatal(err)
+		}
+		e.gather(m)
+		if rt.rounds > int64(k) {
+			t.Errorf("K=%d: %d aug-step rounds, want at most %d (one per change of owner)", k, rt.rounds, k)
+		}
+		if err := matching.VerifyMaximum(g, m); err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		t.Logf("K=%d: %d aug-step rounds, %d supersteps", k, rt.rounds, e.stats.Supersteps)
 	}
 }
 

@@ -185,34 +185,54 @@ func (o ops) augInit(r *rank) {
 		if r.mateX[r.lx(x)] == none && r.rootX[r.lx(x)] == x && r.renewable[x] && r.leaf[r.lx(x)] != none {
 			r.paths++
 			y := r.leaf[r.lx(x)]
-			r.send(o.part.OwnerY(y), message{mWalkY, y, x, 0})
+			o.walk(r, o.part.OwnerY(y), message{mWalkY, y, x, 0})
 		}
 	}
 }
 
-// augStep advances token-passing walks: a Y token asks its parent's owner to
-// rematch, an X token flips the mate and forwards toward the root.
+// augStep advances the walks whose tokens reached r in the last round.
 func (o ops) augStep(r *rank, in []message) {
 	for _, msg := range in {
-		//lint:ignore proto-exhaustive per-phase dispatch: each superstep routes only its own message kinds here, and decodeStep already rejected any kind outside the block
+		o.walk(r, r.id, msg)
+	}
+}
+
+// walk hands one augmenting-walk token to rank dst. A token for another rank
+// is sent; a token for r is applied here, and so is its successor while r
+// owns the vertex the walk reaches next, so a walk costs one round per change
+// of owner, not one per hop. A Y token asks its parent's owner to rematch; an
+// X token flips the mate, acks it to the Y side (in place when r owns the Y)
+// and moves on toward the root. Walks are vertex-disjoint, so the order in
+// which a rank carries them does not change the mates they leave.
+func (o ops) walk(r *rank, dst int, msg message) {
+	for dst == r.id {
 		switch msg.kind {
 		case mWalkY:
 			y, root := msg.a, msg.b
 			x := r.parentY[r.ly(y)]
-			r.send(o.part.OwnerX(x), message{mMatchReq, x, y, root})
+			dst, msg = o.part.OwnerX(x), message{mMatchReq, x, y, root}
 		case mMatchReq:
 			x, y, root := msg.a, msg.b, msg.c
 			prev := r.mateX[r.lx(x)]
 			r.mateX[r.lx(x)] = y
-			r.send(o.part.OwnerY(y), message{mMateAck, y, x, 0})
-			if x != root {
-				r.send(o.part.OwnerY(prev), message{mWalkY, prev, root, 0})
+			if owner := o.part.OwnerY(y); owner == r.id {
+				r.mateY[r.ly(y)] = x
+			} else {
+				r.send(owner, message{mMateAck, y, x, 0})
 			}
+			if x == root {
+				return
+			}
+			dst, msg = o.part.OwnerY(prev), message{mWalkY, prev, root, 0}
 		case mMateAck:
 			y, x := msg.a, msg.b
 			r.mateY[r.ly(y)] = x
+			return
+		default:
+			return // not walk traffic; no round routes another kind here
 		}
 	}
+	r.send(dst, msg)
 }
 
 // census classifies r's claimed Y vertices into renewable (dead tree) and

@@ -25,9 +25,10 @@ type superstepper interface {
 // until one finds no augmenting path. A phase grows the forest level-
 // synchronously (expand, claim and apply rounds per level), augments every
 // discovered path by token passing (an aug-init round, then aug-step rounds
-// until no walk traffic remains), and marks the boundary. A census then
-// decides between the four graft rounds of Algorithm 7 (query, accept,
-// adopt, apply) and a rebuild from the unmatched X vertices.
+// until no walk traffic remains: one per change of owner along the longest
+// walk), and marks the boundary. A census then decides between the four
+// graft rounds of Algorithm 7 (query, accept, adopt, apply) and a rebuild
+// from the unmatched X vertices.
 //
 // stats receives edges traversed (claims and graft queries sent),
 // augmenting paths, phases, grafts and rebuilds; the runtime counts its own
