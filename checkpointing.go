@@ -3,7 +3,6 @@ package graftmatch
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"graftmatch/internal/checkpoint"
@@ -76,17 +75,10 @@ func LoadCheckpoint(g *Graph, dir string) (*CheckpointState, error) {
 	}, nil
 }
 
-// ckptWriter emits snapshots from phase callbacks. Calls normally arrive
-// serially on an engine driver goroutine, but an abandoned (zombie) rung can
-// race the next rung's driver for an instant, so the mutable state is
-// mutex-guarded. The mutex is never held across checkpoint.Save: a snapshot
-// attempt claims the `writing` flag under the lock, performs file I/O
-// unlocked, and records the outcome under the lock again. A caller that
-// finds `writing` set skips its snapshot — checkpoints are best-effort, and
-// the overlap only occurs in the zombie-rung window where one of the two
-// racing snapshots is redundant anyway.
+// ckptWriter emits snapshots from phase callbacks. observe runs from
+// OnPhase on the engine's calling goroutine, and final and status run after
+// the engine returns, so the writer is never used concurrently.
 type ckptWriter struct {
-	// Immutable after construction.
 	dir         string
 	interval    time.Duration
 	keep        int
@@ -95,8 +87,6 @@ type ckptWriter struct {
 	start       time.Time
 	rec         *Recorder // nil-safe observability tap
 
-	mu        sync.Mutex
-	writing   bool // a Save is in flight (guarded by mu, claimed before I/O)
 	lastWrite time.Time
 	lastPath  string
 	firstErr  error
@@ -121,38 +111,20 @@ func newCkptWriter(g *Graph, co CheckpointOptions, initialCard int64, rec *Recor
 // observe writes a mid-run snapshot at a phase boundary, rate-limited by the
 // configured interval.
 func (w *ckptWriter) observe(engine string, phase, card int64, mateX, mateY []int32) {
-	if !w.claimWrite(false) {
+	if w.interval > 0 && !w.lastWrite.IsZero() && time.Since(w.lastWrite) < w.interval {
 		return
 	}
 	w.write(engine, phase, card, mateX, mateY, nil)
 }
 
 // final writes the end-of-run snapshot carrying the engine's full counters.
-// It bypasses the rate limit but still yields to an in-flight write.
+// It bypasses the rate limit.
 func (w *ckptWriter) final(engine string, stats *Stats, card int64, mateX, mateY []int32) {
-	if !w.claimWrite(true) {
-		return
-	}
 	var phase int64
 	if stats != nil {
 		phase = stats.Phases
 	}
 	w.write(engine, phase, card, mateX, mateY, stats)
-}
-
-// claimWrite decides under the lock whether a snapshot should proceed and,
-// if so, claims the writing flag. force bypasses the interval rate limit.
-func (w *ckptWriter) claimWrite(force bool) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.writing {
-		return false
-	}
-	if !force && w.interval > 0 && !w.lastWrite.IsZero() && time.Since(w.lastWrite) < w.interval {
-		return false
-	}
-	w.writing = true
-	return true
 }
 
 func (w *ckptWriter) write(engine string, phase, card int64, mateX, mateY []int32, stats *Stats) {
@@ -181,42 +153,31 @@ func (w *ckptWriter) write(engine string, phase, card int64, mateX, mateY []int3
 			Runtime:            stats.Runtime,
 		}
 	}
-	// File I/O happens with the writing flag claimed but the mutex free:
-	// status() and rival snapshot attempts never block behind the disk.
 	saveStart := time.Now()
 	path, io, err := checkpoint.SaveMeasured(w.dir, s)
-	if err == nil {
-		w.rec.CheckpointSaved(path, io.Bytes, io.Fsync)
-		w.rec.Span("checkpoint", "save", saveStart, time.Since(saveStart), io.Bytes)
-		// Retention is best-effort: a failed prune must not disable
-		// checkpointing, and the next successful prune catches up.
-		_ = checkpoint.Prune(w.dir, w.keep)
-	}
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.writing = false
 	if err != nil {
 		if w.firstErr == nil {
 			w.firstErr = err
 		}
 		return
 	}
+	w.rec.CheckpointSaved(path, io.Bytes, io.Fsync)
+	w.rec.Span("checkpoint", "save", saveStart, time.Since(saveStart), io.Bytes)
+	// Retention is best-effort: a failed prune must not disable
+	// checkpointing, and the next successful prune catches up.
+	_ = checkpoint.Prune(w.dir, w.keep)
 	w.lastWrite = time.Now()
 	w.lastPath = path
 }
 
 // status returns the newest snapshot path and the first write failure.
 func (w *ckptWriter) status() (string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.lastPath, w.firstErr
 }
 
-// runMatch routes an initialized matching through the durability layers:
-// supervised execution when requested, otherwise a single engine run with
-// optional checkpointing. The recorder's run-status lifecycle brackets all
-// of it, so /status reflects the run whichever layer drives it.
+// runMatch runs the engine on an initialized matching, with checkpointing
+// when requested. The recorder's run-status lifecycle brackets the run, so
+// /status reflects it from start to finish.
 func runMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Options) (*Result, error) {
 	rec := opts.Recorder
 	rec.SetGraph(int64(g.NX()), int64(g.NY()), g.NumEdges())
@@ -231,9 +192,6 @@ func runMatch(ctx context.Context, g *Graph, m *matching.Matching, opts Options)
 }
 
 func runMatchLayers(ctx context.Context, g *Graph, m *matching.Matching, opts Options) (*Result, error) {
-	if opts.Supervise != nil {
-		return superviseMatch(ctx, g, m, opts)
-	}
 	if opts.Checkpoint == nil {
 		return finishMatch(ctx, g, m, opts)
 	}

@@ -59,8 +59,6 @@ func run(args []string, stdout io.Writer) error {
 		batch       = fs.Int("batch-slots", 0, "concurrent compute slots for the batch class; 0 means the default")
 		maxQueue    = fs.Int("max-queue", 0, "bounded run-queue depth per class before load shedding; 0 means the default")
 		ckptDir     = fs.String("checkpoint", "", "checkpoint directory: persists run snapshots and restores last-good matchings at startup")
-		phaseTO     = fs.Duration("phase-timeout", 30*time.Second, "engine watchdog: degrade a run whose phases stop completing for this long; 0 disables")
-		stallPhases = fs.Int("stall-phases", 0, "degrade a run after this many phases without cardinality growth; 0 disables")
 		drainTO     = fs.Duration("drain-timeout", 0, "bound on graceful drain; 0 means max-deadline + 10s")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +84,6 @@ func run(args []string, stdout io.Writer) error {
 		Deadline:      *deadline,
 		MaxDeadline:   *maxDeadline,
 		Admission:     serve.AdmissionConfig{InteractiveSlots: *interactive, BatchSlots: *batch, MaxQueue: *maxQueue},
-		Supervise:     &graftmatch.SuperviseOptions{PhaseTimeout: *phaseTO, StallPhases: *stallPhases},
 		CheckpointDir: *ckptDir,
 		Log:           stdout,
 	})

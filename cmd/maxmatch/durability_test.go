@@ -75,19 +75,6 @@ func TestResumeWrongGraphExitsDistinctly(t *testing.T) {
 	}
 }
 
-func TestRunSupervisedFlags(t *testing.T) {
-	path := writeTestMatrix(t)
-	for _, args := range [][]string{
-		{"-supervise", "-verify", "-stats"},
-		{"-watchdog", "1m", "-verify"},
-		{"-stall", "50", "-verify"},
-	} {
-		if err := run(append(args, path)); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-	}
-}
-
 // TestHelperProcess is not a test: it is the child body for the kill-restart
 // test below, re-executing the CLI in a separate process so a SIGKILL is
 // survivable by the parent.

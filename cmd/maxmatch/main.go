@@ -6,8 +6,8 @@
 //	maxmatch [-algo msbfsgraft|pf|pr|hk|ssbfs|ssdfs|msbfs|diropt] [-threads N]
 //	         [-init ks|greedy|pgreedy|pks|none] [-timeout 30s] [-verify]
 //	         [-checkpoint-dir DIR] [-checkpoint-interval 5s] [-resume]
-//	         [-supervise] [-watchdog 30s] [-stall N] [-obs-addr :8080]
-//	         [-stats] [-json] [-out matching.txt] file.{mtx,el,txt}[.gz]
+//	         [-obs-addr :8080] [-stats] [-json] [-out matching.txt]
+//	         file.{mtx,el,txt}[.gz]
 //
 // Distributed mode runs the matching across real processes over TCP or unix
 // sockets. One process is the coordinator:
@@ -31,8 +31,7 @@
 // With -checkpoint-dir the run persists crash-safe snapshots of its state at
 // phase boundaries; -resume restarts from the newest valid snapshot for the
 // same graph (verifying it first) and falls back to a fresh start when the
-// directory is empty. -supervise (implied by -watchdog or -stall) runs the
-// computation under a watchdog with an engine degradation ladder.
+// directory is empty.
 //
 // With -obs-addr the run serves a live operational surface on that address
 // while it computes: /metrics (Prometheus text), /metrics.json, /status,
@@ -98,9 +97,6 @@ func run(args []string) error {
 	ckptInterval := fs.Duration("checkpoint-interval", 0, "minimum time between snapshots (0 = every phase boundary)")
 	ckptKeep := fs.Int("checkpoint-keep", 0, "snapshots retained in -checkpoint-dir (0 = 3)")
 	resume := fs.Bool("resume", false, "restart from the newest valid snapshot in -checkpoint-dir (fresh start if none)")
-	superviseFlag := fs.Bool("supervise", false, "run under a supervisor with an engine degradation ladder")
-	watchdog := fs.Duration("watchdog", 0, "supervisor watchdog: degrade engines after this long without a completed phase (implies -supervise)")
-	stall := fs.Int("stall", 0, "supervisor stall detection: degrade after N phases without cardinality growth (implies -supervise)")
 	obsAddr := fs.String("obs-addr", "", "serve live metrics/status/trace/pprof on this address (e.g. :8080) for the duration of the run")
 	df := registerDistFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -166,12 +162,6 @@ func run(args []string) error {
 			Keep:     *ckptKeep,
 		}
 	}
-	if *superviseFlag || *watchdog > 0 || *stall > 0 {
-		opts.Supervise = &graftmatch.SuperviseOptions{
-			PhaseTimeout: *watchdog,
-			StallPhases:  *stall,
-		}
-	}
 	opts.Recorder = rec
 
 	var resumeState *graftmatch.CheckpointState
@@ -235,12 +225,6 @@ func run(args []string) error {
 			fmt.Printf("augmenting paths: %d (avg length %.2f)\n", res.Stats.AugPaths, res.Stats.AvgAugPathLen())
 			if res.Stats.Grafts+res.Stats.Rebuilds > 0 {
 				fmt.Printf("grafted phases: %d, rebuilt phases: %d\n", res.Stats.Grafts, res.Stats.Rebuilds)
-			}
-			if res.Supervision != nil {
-				for _, r := range res.Supervision.Rungs {
-					fmt.Printf("supervision: %s -> %s (phases=%d, |M|=%d)\n",
-						r.Engine, r.Outcome, r.Phases, r.Cardinality)
-				}
 			}
 			if res.CheckpointPath != "" {
 				fmt.Printf("checkpoint: %s\n", res.CheckpointPath)

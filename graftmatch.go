@@ -273,17 +273,11 @@ type Options struct {
 	// failures never abort the run; see Result.CheckpointErr.
 	Checkpoint *CheckpointOptions
 
-	// Supervise, when non-nil, runs the computation under a supervisor
-	// with a per-phase watchdog, stall detection, and a graceful
-	// degradation ladder of fallback engines, each seeded with the best
-	// matching reached so far. See SuperviseOptions.
-	Supervise *SuperviseOptions
-
 	// Recorder, when non-nil, receives live metrics (per-phase counters,
 	// step-time breakdowns, queue and checkpoint I/O), one trace span per
 	// phase/step, and run-status updates from every layer of the run —
-	// engine, checkpoint writer, and supervisor. Serve it over HTTP with
-	// ObsHandler. The nil default records nothing and costs nothing.
+	// engine and checkpoint writer. Serve it over HTTP with ObsHandler.
+	// The nil default records nothing and costs nothing.
 	Recorder *Recorder
 
 	// Pool, when non-nil, supplies the workers for every parallel region of
@@ -320,10 +314,6 @@ type Result struct {
 	// reported here, never by aborting the run.
 	CheckpointPath string
 	CheckpointErr  error
-
-	// Supervision reports the engine ladder when Options.Supervise was
-	// set: every rung attempted, its outcome, and which engine completed.
-	Supervision *SupervisionReport
 }
 
 // Match computes a maximum cardinality matching of g. It is

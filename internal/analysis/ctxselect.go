@@ -14,7 +14,7 @@ import (
 // receive case (any `chan struct{}` source: ctx.Done(), a close channel) or
 // a default arm. A bare send, bare receive, channel range, or done-less
 // select is a goroutine that outlives its context: cancellation fires, the
-// supervisor moves on, and the goroutine stays parked on a channel nobody
+// caller moves on, and the goroutine stays parked on a channel nobody
 // will touch again.
 //
 // Receiving directly from a done-like channel is exempt (that IS waiting

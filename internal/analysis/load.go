@@ -76,7 +76,7 @@ func DefaultConfig() Config {
 		CtxPackages: []string{
 			"internal/par", "internal/core", "internal/pf",
 			"internal/pushrelabel", "internal/dist", "internal/dist/net",
-			"internal/supervise", "internal/obs", "internal/serve",
+			"internal/obs", "internal/serve",
 		},
 		PanicPackages: []string{"internal/par"},
 		HotPackages: []string{

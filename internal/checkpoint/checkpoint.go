@@ -1,5 +1,6 @@
 // Package checkpoint persists matching run state as crash-safe binary
-// snapshots, the durability layer under the run supervisor. A snapshot
+// snapshots, the durability layer under Options.Checkpoint, matchd's
+// restored last-good floors and the cluster coordinator. A snapshot
 // captures everything needed to restart a killed run without losing matched
 // edges: the mate arrays (always a valid partial matching at a phase
 // boundary), a fingerprint of the graph they were computed on, the engine

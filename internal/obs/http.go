@@ -27,7 +27,7 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 //	/               endpoint index
 //	/metrics        Prometheus text exposition (with trace exemplars)
 //	/metrics.json   folded registry as JSON
-//	/status         live run status (phase, cardinality, rung, checkpoint)
+//	/status         live run status (phase, cardinality, checkpoint)
 //	/cluster        per-rank cluster snapshot (dist runs)
 //	/requests       live in-flight requests (matchd)
 //	/trace          Chrome trace-event JSON (about://tracing, Perfetto)
@@ -92,7 +92,7 @@ func Handler(rec *Recorder) http.Handler {
 const indexText = `graftmatch observability surface
   /metrics        Prometheus text exposition (with trace exemplars)
   /metrics.json   metrics registry as JSON
-  /status         live run status (phase, cardinality, rung, last checkpoint)
+  /status         live run status (phase, cardinality, last checkpoint)
   /cluster        per-rank cluster snapshot (dist runs: liveness, deaths, steps, step latencies)
   /requests       live in-flight requests (matchd: id, trace, endpoint, state)
   /trace          Chrome trace-event JSON (load in Perfetto / about://tracing)

@@ -77,7 +77,7 @@ type state struct {
 
 // Recorder is the hub the engines record into: a metrics registry, a span
 // tracer, and a run-status snapshot, plus pre-registered handles for the
-// cross-engine metrics (run gauges, checkpoint and supervision counters).
+// cross-engine metrics (run gauges and checkpoint counters).
 //
 // A nil *Recorder is the no-op default: every method (and every handle a nil
 // recorder returns) degrades to a nil check, so instrumented engines run
@@ -96,7 +96,6 @@ type Recorder struct {
 	phaseG    *Gauge
 	cardG     *Gauge
 	completeG *Gauge
-	rungC     *Counter
 	ckptC     *Counter
 	ckptBytes *Counter
 	ckptFsync *Histogram
@@ -112,7 +111,6 @@ func New(cfg Config) *Recorder {
 	r.phaseG = r.reg.Gauge("graftmatch_run_phase", "current search phase of the live run")
 	r.cardG = r.reg.Gauge("graftmatch_run_cardinality", "matching cardinality after the last completed phase")
 	r.completeG = r.reg.Gauge("graftmatch_run_complete", "1 once the run reached a maximum matching, else 0")
-	r.rungC = r.reg.Counter("graftmatch_supervise_rung_transitions_total", "supervision ladder rung starts")
 	r.ckptC = r.reg.Counter("graftmatch_checkpoint_snapshots_total", "checkpoint snapshots written")
 	r.ckptBytes = r.reg.Counter("graftmatch_checkpoint_bytes_total", "checkpoint bytes written")
 	r.ckptFsync = r.reg.Histogram("graftmatch_checkpoint_fsync_ns", "checkpoint fsync latency in nanoseconds")
@@ -359,8 +357,6 @@ type RunStatus struct {
 	Complete       bool   `json:"complete"`
 	Phase          int64  `json:"phase"`
 	Cardinality    int64  `json:"cardinality"`
-	Rung           string `json:"rung,omitempty"`
-	RungOutcome    string `json:"rung_outcome,omitempty"`
 	LastCheckpoint string `json:"last_checkpoint,omitempty"`
 	GraphRows      int64  `json:"graph_rows,omitempty"`
 	GraphCols      int64  `json:"graph_cols,omitempty"`
@@ -443,31 +439,6 @@ func (r *Recorder) RunDone(complete bool, cardinality int64) {
 	if complete {
 		r.completeG.Set(1)
 	}
-}
-
-// RungStart records a supervision ladder transition onto engine `rung`.
-func (r *Recorder) RungStart(rung string) {
-	if r == nil {
-		return
-	}
-	r.st.mu.Lock()
-	r.st.status.Rung = rung
-	r.st.status.RungOutcome = ""
-	r.st.status.UpdatedAt = time.Now().UnixNano()
-	r.st.mu.Unlock()
-	r.rungC.Add(1)
-}
-
-// RungEnd records how the current supervision rung ended.
-func (r *Recorder) RungEnd(rung, outcome string) {
-	if r == nil {
-		return
-	}
-	r.st.mu.Lock()
-	r.st.status.Rung = rung
-	r.st.status.RungOutcome = outcome
-	r.st.status.UpdatedAt = time.Now().UnixNano()
-	r.st.mu.Unlock()
 }
 
 // CheckpointSaved records one durable snapshot: its path on the status

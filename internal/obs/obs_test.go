@@ -29,8 +29,6 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	rec.SetGraph(1, 2, 3)
 	rec.PhaseDone("x", 1, 2)
 	rec.RunDone(true, 2)
-	rec.RungStart("x")
-	rec.RungEnd("x", "completed")
 	rec.CheckpointSaved("p", 1, time.Second)
 	if s := rec.Status(); s != (RunStatus{}) {
 		t.Errorf("nil recorder status %+v", s)
@@ -65,16 +63,6 @@ func TestRecorderStatusFlow(t *testing.T) {
 	}
 	if got := rec.Gauge("graftmatch_run_cardinality", "").Value(); got != 1234 {
 		t.Errorf("cardinality gauge = %d", got)
-	}
-
-	rec.RungStart("PF")
-	rec.RungEnd("PF", "completed")
-	s = rec.Status()
-	if s.Rung != "PF" || s.RungOutcome != "completed" {
-		t.Errorf("rung status: %+v", s)
-	}
-	if got := rec.Counter("graftmatch_supervise_rung_transitions_total", "").Value(); got != 1 {
-		t.Errorf("rung transitions = %d", got)
 	}
 
 	rec.CheckpointSaved("/tmp/x.gmck", 4096, 2*time.Millisecond)

@@ -9,10 +9,10 @@ import (
 )
 
 // Span is one completed phase/step/superstep interval. Cat groups spans by
-// emitter ("core", "pf", "pr", "dist", "checkpoint", "supervise"); Name is
-// the span kind within the emitter ("phase", "top-down", "superstep", ...);
-// Arg carries one span-specific magnitude (frontier size, cardinality,
-// bytes) surfaced in the Chrome trace's args.
+// emitter ("core", "pf", "pr", "dist", "cluster", "checkpoint", "request",
+// "exps"); Name is the span kind within the emitter ("phase", "top-down",
+// "superstep", ...); Arg carries one span-specific magnitude (frontier
+// size, cardinality, bytes) surfaced in the Chrome trace's args.
 //
 // Lane and Trace carry the cross-process dimensions: Lane 0 is the local
 // process, lane k>0 is remote rank k-1 (the cluster coordinator ingests each

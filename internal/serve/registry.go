@@ -13,10 +13,9 @@
 //   - per-request deadlines propagated into the engines' MatchContext
 //     semantics, so an over-budget run stops at a consistent boundary and
 //     yields a valid partial matching, never a hung connection;
-//   - a degradation ladder: a stalled or wedged engine is superseded by
-//     fallbacks (internal/supervise), and a request that still cannot finish
-//     degrades to the last-good matching for its instance rather than
-//     failing;
+//   - a last-good floor: the best matching any run has reached for each
+//     instance. A run that fails, or stops below the floor, is answered
+//     from it; a failed run with no floor answers 500 with the cause;
 //   - one shared worker pool across all requests (par.Pool), so total
 //     compute parallelism stays bounded no matter the offered load.
 package serve

@@ -170,7 +170,7 @@ func DecodeRequest(body []byte, caps Caps) (*Request, error) {
 	return &req, nil
 }
 
-// Options maps the request onto facade options (deadline, supervision, and
+// Options maps the request onto facade options (the deadline and the
 // scheduler are layered on by the server).
 func (r *Request) Options() graftmatch.Options {
 	// DecodeRequest rejected unknown names, so neither parse can fail here.
@@ -218,8 +218,8 @@ type MatchResponse struct {
 	Complete    bool   `json:"complete"`
 
 	// Degraded marks an answer that is not the freshly computed maximum
-	// the request asked for: the run hit its deadline or its engines
-	// stalled, and the response carries the best available state instead
+	// the request asked for: the run hit its deadline or its engine
+	// failed, and the response carries the best available state instead
 	// of an error. Source says which: "partial" (this run's consistent
 	// partial matching) or "last-good" (the newest complete or partial
 	// matching any earlier run produced for this instance).
@@ -229,7 +229,11 @@ type MatchResponse struct {
 	InitialCardinality int64   `json:"initial_cardinality,omitempty"`
 	Phases             int64   `json:"phases,omitempty"`
 	RuntimeMS          float64 `json:"runtime_ms"`
-	Engine             string  `json:"engine,omitempty"` // supervision ladder rung that answered
+
+	// Engine names the algorithm that produced the matching: the requested
+	// one for a computed, cached or partial answer, the floor's own for a
+	// last-good answer.
+	Engine string `json:"engine,omitempty"`
 
 	MateX []int32 `json:"mate_x,omitempty"`
 	MateY []int32 `json:"mate_y,omitempty"`

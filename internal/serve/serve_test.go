@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"graftmatch"
+	"graftmatch/internal/core"
 )
 
 // writeGraph writes a random bipartite edge list ("# nx ny" header) to path.
@@ -555,6 +556,60 @@ func TestDeadlineDegrades(t *testing.T) {
 	}
 	if m3.Source != "last-good" || m3.Cardinality != full.Cardinality || !m3.Complete {
 		t.Fatalf("degraded answer = %+v, want last-good |M|=%d", m3, full.Cardinality)
+	}
+}
+
+// TestEnginePanicDegrades: a contained engine panic is answered from the
+// instance's last-good floor, and with a 500 naming the panic where the
+// instance has no floor yet.
+func TestEnginePanicDegrades(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, func(dir string) {
+		writeGraph(t, filepath.Join(dir, "a.el"), 200, 200, 3, 31, false)
+		writeGraph(t, filepath.Join(dir, "b.el"), 200, 200, 3, 32, false)
+	})
+	code, data := postJSON(t, ts.URL+"/match", `{"instance":"a"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, data)
+	}
+	full := decodeMatch(t, data)
+
+	core.TestHookWorkerFault = func(int) { panic("injected worker fault") }
+	t.Cleanup(func() { core.TestHookWorkerFault = nil })
+	// Threads 2 and no initializer, so the parallel top-down (where the
+	// hook fires) runs.
+	const faulty = `{"instance":%q,"no_cache":true,"threads":2,"initializer":"none"}`
+
+	code, data = postJSON(t, ts.URL+"/match", fmt.Sprintf(faulty, "a"))
+	if code != http.StatusOK {
+		t.Fatalf("with a floor: status %d: %s", code, data)
+	}
+	m := decodeMatch(t, data)
+	if !m.Degraded || m.Source != "last-good" || m.Cardinality != full.Cardinality {
+		t.Fatalf("with a floor: %+v, want last-good |M|=%d", m, full.Cardinality)
+	}
+
+	code, data = postJSON(t, ts.URL+"/match", fmt.Sprintf(faulty, "b"))
+	if code != http.StatusInternalServerError || !strings.Contains(string(data), "injected worker fault") {
+		t.Fatalf("without a floor: status %d: %s, want 500 naming the panic", code, data)
+	}
+}
+
+// TestEngineNamePerAlgorithm: a computed answer names the algorithm the
+// request asked for, spelled as Algorithm.String().
+func TestEngineNamePerAlgorithm(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, smallRegistry(t))
+	for _, name := range []string{"msbfsgraft", "diropt", "msbfs", "pf", "pr", "hk"} {
+		alg, err := graftmatch.ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, data := postJSON(t, ts.URL+"/match", fmt.Sprintf(`{"instance":"small","algorithm":%q}`, name))
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, code, data)
+		}
+		if m := decodeMatch(t, data); m.Engine != alg.String() {
+			t.Errorf("%s: engine %q, want %q", name, m.Engine, alg.String())
+		}
 	}
 }
 

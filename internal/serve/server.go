@@ -53,11 +53,6 @@ type Config struct {
 	Deadline    time.Duration
 	MaxDeadline time.Duration
 
-	// Supervise configures the degradation ladder under every match run.
-	// Nil enables the default ladder (requested algorithm, then
-	// Pothen–Fan, then Hopcroft–Karp) with a 30s phase watchdog.
-	Supervise *graftmatch.SuperviseOptions
-
 	// CheckpointDir, when set, persists crash-safe snapshots of match
 	// runs, one subdirectory per instance, and — at startup — restores
 	// each instance's last-good floor from the snapshots a previous
@@ -152,9 +147,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxDeadline <= 0 {
 		cfg.MaxDeadline = DefaultMaxDeadline
-	}
-	if cfg.Supervise == nil {
-		cfg.Supervise = &graftmatch.SuperviseOptions{PhaseTimeout: 30 * time.Second}
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -463,8 +455,8 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // ---- compute path ----------------------------------------------------------
 
-// run executes one match computation under admission, deadline, supervision
-// and the shared pool, and folds the outcome into the last-good floor.
+// run executes one match computation under admission, the deadline and the
+// shared pool, and folds the outcome into the last-good floor.
 func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline time.Time) (*graftmatch.Result, error) {
 	opts := req.Options()
 	opts.Pool = s.pool
@@ -472,7 +464,6 @@ func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline 
 	// span, tying the computation on /trace back to this X-Request-Id.
 	opts.Recorder = s.rec.WithTrace(traceOf(reqFromCtx(ctx)))
 	opts.Deadline = deadline
-	opts.Supervise = s.cfg.Supervise
 	if opts.Threads == 0 {
 		opts.Threads = s.cfg.Threads
 	}
@@ -486,18 +477,8 @@ func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline 
 	if err != nil {
 		return nil, err
 	}
-	s.cache.noteResult(ins.Name, engineName(res, req), res)
+	s.cache.noteResult(ins.Name, opts.Algorithm.String(), res)
 	return res, nil
-}
-
-func engineName(res *graftmatch.Result, req *Request) string {
-	if res.Supervision != nil && res.Supervision.Engine != "" {
-		return res.Supervision.Engine
-	}
-	if res.Stats != nil && res.Stats.Algorithm != "" {
-		return res.Stats.Algorithm
-	}
-	return req.Algorithm
 }
 
 // matchOutcome is the resolved answer of the match pipeline before JSON
@@ -593,7 +574,7 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 	if res.Complete {
 		return &matchOutcome{res: res, source: "computed"}, nil
 	}
-	// Deadline/stall left a valid partial matching. Serve the best state
+	// The deadline left a valid partial matching. Serve the best state
 	// known for the instance: an earlier complete/larger matching beats
 	// this run's partial.
 	if lg, ok := s.cache.getLastGood(ins.Name); ok && lg.Cardinality > res.Cardinality {
@@ -660,7 +641,7 @@ func (s *Server) matchResponse(ins *Instance, req *Request, out *matchOutcome, e
 	case out.res != nil:
 		resp.Cardinality = out.res.Cardinality
 		resp.Complete = out.res.Complete
-		resp.Engine = engineName(out.res, req)
+		resp.Engine = req.Options().Algorithm.String()
 		if st := out.res.Stats; st != nil {
 			resp.InitialCardinality = st.InitialCardinality
 			resp.Phases = st.Phases
