@@ -14,16 +14,22 @@ import (
 // facade algorithms in allAlgorithms.
 const fuzzEngineDist = 8
 
+// fuzzAlphas are the graft and direction thresholds α a FuzzEngines input
+// can pick: the default (0), and values either side of it, so the
+// graft/rebuild decision takes both branches.
+var fuzzAlphas = [4]float64{0, 1, 2, 20}
+
 // fuzzCase is one decoded FuzzEngines input: a graph of at most 24 × 24, a
-// valid initial matching, an engine, a thread (or rank) count and the phase
-// at which the first run is cancelled.
+// valid initial matching, an engine, a thread (or rank) count, the phase at
+// which the first run is cancelled and the threshold α.
 type fuzzCase struct {
 	g        *Graph
 	init     *matching.Matching
-	engine   int   // index into allAlgorithms, or fuzzEngineDist
-	threads  int   // 1..4; the rank count K for the BSP engine
-	cancelAt int64 // 0 cancels before the run starts
-	graft    bool  // BSP engine only
+	engine   int     // index into allAlgorithms, or fuzzEngineDist
+	threads  int     // 1..4; the rank count K for the BSP engine
+	cancelAt int64   // 0 cancels before the run starts
+	graft    bool    // BSP engine only
+	alpha    float64 // the MS-BFS family and the BSP engine; 0 is the default
 }
 
 // decodeFuzzCase reads the FuzzEngines byte format:
@@ -31,7 +37,8 @@ type fuzzCase struct {
 //	byte 0   nx = b % 25
 //	byte 1   ny = b % 25
 //	byte 2   engine = b % 9 (0..7 index allAlgorithms, 8 is the BSP engine)
-//	byte 3   bits 0-1 threads-1, bits 2-3 cancel phase, bit 4 BSP grafting off
+//	byte 3   bits 0-1 threads-1, bits 2-3 cancel phase, bit 4 BSP grafting off,
+//	         bits 5-6 α = fuzzAlphas[b>>5&3]
 //	then     one edge per byte pair: x = (b0 & 0x7f) % nx, y = b1 % ny
 //
 // The initial matching is greedy over the edges in input order; an edge whose
@@ -46,6 +53,7 @@ func decodeFuzzCase(data []byte) (*fuzzCase, bool) {
 		threads:  1 + int(data[3]&3),
 		cancelAt: int64(data[3]>>2) & 3,
 		graft:    data[3]&0x10 == 0,
+		alpha:    fuzzAlphas[data[3]>>5&3],
 	}
 	var edges []Edge
 	var greedy []bool
@@ -85,7 +93,8 @@ func encodeFig2(engine, threads, cancelAt byte) []byte {
 }
 
 // FuzzEngines runs every engine on a small graph from a valid initial
-// matching, cancels it at a phase boundary, and resumes it to the end. The
+// matching, cancels it at a phase boundary, and resumes it to the end. α
+// reaches the engines that read it: the MS-BFS family and the BSP engine. The
 // partial result must be a valid matching no smaller than the initial one,
 // and the resumed result a certified maximum of the reference cardinality.
 // No input may make an engine panic or return an error other than the
@@ -93,6 +102,14 @@ func encodeFig2(engine, threads, cancelAt byte) []byte {
 func FuzzEngines(f *testing.F) {
 	for engine := byte(0); engine <= fuzzEngineDist; engine++ {
 		f.Add(encodeFig2(engine, 1+engine%4, engine%4))
+	}
+	// The grafting engines again under each non-default α.
+	for _, engine := range []byte{0, fuzzEngineDist} {
+		for a := byte(1); a < byte(len(fuzzAlphas)); a++ {
+			data := encodeFig2(engine, 2, 0)
+			data[3] |= a << 5
+			f.Add(data)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ok := decodeFuzzCase(data)
@@ -116,29 +133,29 @@ func FuzzEngines(f *testing.F) {
 		var partial, final *matching.Matching
 		if c.engine == fuzzEngineDist {
 			partial = c.init.Clone()
-			opts := dist.Options{Ranks: c.threads, Grafting: c.graft, OnPhase: onPhase}
+			opts := dist.Options{Ranks: c.threads, Grafting: c.graft, Alpha: c.alpha, OnPhase: onPhase}
 			if _, err := dist.RunCtx(ctx, c.g, partial, opts); err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("BSP K=%d graft=%v: %v", c.threads, c.graft, err)
+				t.Fatalf("BSP K=%d graft=%v α=%g: %v", c.threads, c.graft, c.alpha, err)
 			}
 			final = partial.Clone()
 			opts.OnPhase = nil
 			if _, err := dist.RunCtx(context.Background(), c.g, final, opts); err != nil {
-				t.Fatalf("BSP K=%d graft=%v resume: %v", c.threads, c.graft, err)
+				t.Fatalf("BSP K=%d graft=%v α=%g resume: %v", c.threads, c.graft, c.alpha, err)
 			}
 		} else {
 			alg := allAlgorithms[c.engine]
-			opts := Options{Algorithm: alg, Threads: c.threads, OnPhase: onPhase}
+			opts := Options{Algorithm: alg, Threads: c.threads, Alpha: c.alpha, OnPhase: onPhase}
 			res, err := ResumeMatchContext(ctx, c.g, c.init.MateX, c.init.MateY, opts)
 			if err != nil {
-				t.Fatalf("%v threads=%d: %v", alg, c.threads, err)
+				t.Fatalf("%v threads=%d α=%g: %v", alg, c.threads, c.alpha, err)
 			}
 			partial = &matching.Matching{MateX: res.MateX, MateY: res.MateY}
 			opts.OnPhase = nil
 			if res, err = ResumeMatch(c.g, res.MateX, res.MateY, opts); err != nil {
-				t.Fatalf("%v threads=%d resume: %v", alg, c.threads, err)
+				t.Fatalf("%v threads=%d α=%g resume: %v", alg, c.threads, c.alpha, err)
 			}
 			if !res.Complete {
-				t.Fatalf("%v threads=%d: uncancelled resume returned Complete=false", alg, c.threads)
+				t.Fatalf("%v threads=%d α=%g: uncancelled resume returned Complete=false", alg, c.threads, c.alpha)
 			}
 			final = &matching.Matching{MateX: res.MateX, MateY: res.MateY}
 		}

@@ -172,6 +172,21 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestStatsNameTheAlgorithm: a run's Stats.Algorithm is the name
+// Algorithm.String() gives it, the one checkpoints and matchd also use.
+func TestStatsNameTheAlgorithm(t *testing.T) {
+	g := gen.ER(60, 60, 240, 4)
+	for _, alg := range allAlgorithms {
+		res, err := Match(g, Options{Algorithm: alg, Threads: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if res.Stats.Algorithm != alg.String() {
+			t.Errorf("%v: Stats.Algorithm = %q, want %q", alg, res.Stats.Algorithm, alg.String())
+		}
+	}
+}
+
 // TestParseNames pins the one name vocabulary the tools and matchd share:
 // every algorithm and initializer has a name, parsing ignores case, the
 // empty name is the default, and unknown names are errors.

@@ -217,7 +217,7 @@ func algorithmName(o Options) string {
 	case o.Grafting:
 		return "MS-BFS+Graft(no dirOpt)"
 	case o.DirectionOptimized:
-		return "MS-BFS+DirOpt"
+		return "MS-BFS-DirOpt"
 	default:
 		return "MS-BFS"
 	}

@@ -236,7 +236,7 @@ func TestAlgorithmNames(t *testing.T) {
 	names := map[string]Options{
 		"MS-BFS-Graft":            {DirectionOptimized: true, Grafting: true},
 		"MS-BFS":                  {},
-		"MS-BFS+DirOpt":           {DirectionOptimized: true},
+		"MS-BFS-DirOpt":           {DirectionOptimized: true},
 		"MS-BFS+Graft(no dirOpt)": {Grafting: true},
 	}
 	for want, opts := range names {
@@ -284,7 +284,7 @@ func TestMSBFSDirOptMatchesReference(t *testing.T) {
 	if m.Cardinality() != ref.Cardinality() {
 		t.Fatalf("%d, want %d", m.Cardinality(), ref.Cardinality())
 	}
-	if stats.Algorithm != "MS-BFS+DirOpt" {
+	if stats.Algorithm != "MS-BFS-DirOpt" {
 		t.Fatalf("algorithm name %q", stats.Algorithm)
 	}
 	if stats.Grafts != 0 {

@@ -139,12 +139,44 @@ type slot struct {
 
 	// frames carries decoded StepDone frames from the pump to the driver.
 	// Capacity covers the lockstep protocol's maximum in-flight responses
-	// plus stale leftovers across an epoch change.
-	frames chan stepDoneFrame
+	// plus stale leftovers across an epoch change. free carries them back
+	// once Run's loop is done with them, for the pump to decode the next
+	// frame into. A frame buffer moves only through these two channels, so
+	// whichever goroutine holds it owns it: a buried incarnation's pump can
+	// never write a buffer Run's loop is reading.
+	frames chan *rxFrame
+	free   chan *rxFrame
 
 	// The rank's /cluster row, driver-owned: the driver folds in every
 	// gathered superstep and every death, and exports the row itself.
 	steps, latSum, latMax, deaths int64 // latSum and latMax in ns of compute
+}
+
+// rxFrame is one StepDone as a pump received it: a copy of the payload and
+// the frame decoded over it, whose outboxes alias the copy.
+type rxFrame struct {
+	stepDoneFrame
+	raw []byte
+}
+
+// take returns a frame buffer from the free list, or a new one while the
+// slot's first frames are still out.
+func (s *slot) take() *rxFrame {
+	select {
+	case rx := <-s.free:
+		return rx
+	default:
+		return new(rxFrame)
+	}
+}
+
+// recycle hands a frame buffer back to the slot's pumps; when the free list
+// is full the buffer is dropped.
+func (s *slot) recycle(rx *rxFrame) {
+	select {
+	case s.free <- rx:
+	default:
+	}
 }
 
 // fail marks the slot failed if conn is still its current connection. A
@@ -174,7 +206,6 @@ func (s *slot) attached() bool {
 type Coordinator struct {
 	g    *bipartite.Graph
 	part Partition
-	op   ops
 	opts ClusterOptions
 	fp   checkpoint.Fingerprint
 
@@ -195,10 +226,13 @@ type Coordinator struct {
 	// Driver-owned superstep state (no locking: single driver goroutine).
 	// lastGood is the recovery anchor: the matching gathered at the last
 	// phase boundary, which every epoch rescatters. tick is the run's one
-	// liveness ticker, read by every gather.
+	// liveness ticker, read by every gather. inboxes hold each rank's next
+	// inbox as message records; results holds the last step's frames until
+	// the next step hands them back to their slots.
 	ssid     uint64
 	tick     *time.Ticker
-	inboxes  [][]message
+	inboxes  [][]byte
+	results  []*rxFrame
 	renewNew []int32
 	stepBuf  []byte
 	spans    []obs.Span // one rank span per slot; nil without a tracer
@@ -230,12 +264,12 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 		joined: make(chan struct{}, 1),
 		mon:    distnet.NewMonitor(),
 	}
-	c.op = ops{g: g, part: c.part}
 	c.slots = make([]*slot, c.part.K)
 	for i := range c.slots {
-		c.slots[i] = &slot{rank: i, frames: make(chan stepDoneFrame, 8)} //lint:ignore hotpath-alloc constructor setup: K slots allocated once per coordinator
+		c.slots[i] = &slot{rank: i, frames: make(chan *rxFrame, 8), free: make(chan *rxFrame, 2)} //lint:ignore hotpath-alloc constructor setup: K slots allocated once per coordinator
 	}
-	c.inboxes = make([][]message, c.part.K)
+	c.inboxes = make([][]byte, c.part.K)
+	c.results = make([]*rxFrame, c.part.K)
 	c.lifeCtx, c.lifeCancel = context.WithCancel(context.Background())
 	c.trace = obs.NewTraceID()
 	c.rec = opts.Recorder.WithTrace(c.trace)
@@ -398,9 +432,10 @@ func (c *Coordinator) assign(h helloFrame) (*slot, string) {
 }
 
 // pump drains one incarnation's connection: heartbeats feed the failure
-// detector, StepDone frames flow to the driver. Whatever ends it — a read
-// error, an Abort, a garbled or unexpected frame — is the incarnation's
-// death, marked at once unless the slot has already moved on.
+// detector, and each StepDone, decoded into a buffer from the slot's free
+// list, goes to Run's loop. Whatever ends it — a read error, an Abort, a
+// garbled or unexpected frame — is the incarnation's death, marked at once
+// unless the slot has already moved on.
 func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 	defer c.wg.Done()
 	defer close(pumped)
@@ -416,13 +451,14 @@ func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 			// liveness only
 		case fStepDone:
 			arrived := time.Now().UnixNano()
-			f, err := decodeStepDone(payload, c.part.K)
-			if err != nil {
+			rx := s.take()
+			rx.raw = append(rx.raw[:0], payload...)
+			if decodeStepDone(rx.raw, c.part.K, &rx.stepDoneFrame) != nil || !c.doneInRange(s.rank, &rx.stepDoneFrame) {
 				return // a garbled worker is a dead worker
 			}
-			f.Arrived = arrived
+			rx.Arrived = arrived
 			select {
-			case s.frames <- f:
+			case s.frames <- rx:
 			case <-c.lifeCtx.Done():
 				return
 			}
@@ -438,6 +474,23 @@ func (c *Coordinator) pump(s *slot, conn *distnet.Conn, pumped chan struct{}) {
 			return
 		}
 	}
+}
+
+// doneInRange reports whether what a StepDone hands the coordinator besides
+// routed records is in range, before any of it is broadcast or enters
+// lastGood: its new renewable roots are X vertices rank owns, and only a
+// phase-boundary frame carries mates, exactly rank's blocks of them, each a
+// vertex of the other side or none.
+func (c *Coordinator) doneInRange(rank int, f *stepDoneFrame) bool {
+	xlo, xhi := c.part.RangeX(rank)
+	ylo, yhi := c.part.RangeY(rank)
+	nx, ny := int(xhi-xlo), int(yhi-ylo)
+	if f.Op != opCensus && f.Op != opReportMates {
+		nx, ny = 0, 0
+	}
+	return outside(f.NewRenew, xlo, xhi) < 0 &&
+		len(f.MateX) == nx && len(f.MateY) == ny &&
+		outside(f.MateX, none, c.g.NY()) < 0 && outside(f.MateY, none, c.g.NX()) < 0
 }
 
 // exportCluster publishes the per-rank snapshot behind /cluster: liveness,
@@ -493,10 +546,12 @@ func (c *Coordinator) dead(rank int) error {
 
 // step broadcasts one superstep order to every rank and gathers every
 // response, returning them indexed by rank with the number of messages
-// routed. scatterM carries the matching for opScatter rounds. On return the
-// routed outboxes have replaced c.inboxes and the renewable merge is queued
-// for the next round.
-func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matching) ([]stepDoneFrame, int64, error) {
+// routed; they stay valid until the next step, which first hands them back
+// to their slots. scatterM carries the matching for opScatter rounds. On
+// return the routed outboxes have replaced c.inboxes and the renewable merge
+// is queued for the next round.
+func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matching) ([]*rxFrame, int64, error) {
+	c.release()
 	c.ssid++
 	epoch := c.epoch.Load()
 	for rank, s := range c.slots {
@@ -529,28 +584,32 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 	c.mMessages.Add(int64(len(c.renewNew) * (c.part.K - 1)))
 	c.renewNew = c.renewNew[:0]
 
-	results := make([]stepDoneFrame, c.part.K)
+	results := c.results
 	for rank := range c.slots {
-		f, err := c.gather(ctx, rank, epoch, c.ssid)
+		rx, err := c.gather(ctx, rank, epoch, c.ssid)
 		if err != nil {
 			return nil, 0, &errRankDead{rank: rank, err: err} //lint:ignore hotpath-alloc error exit, taken at most once per round
 		}
-		results[rank] = f
+		results[rank] = rx
+		if rx.Op != op {
+			return nil, 0, &errRankDead{rank: rank, err: &ProtoError{Frame: "stepdone", Reason: fmt.Sprintf("answered %s with %s", opSpanName(op), opSpanName(rx.Op))}} //lint:ignore hotpath-alloc protocol-violation exit, never taken on a healthy run
+		}
 	}
 	c.noteRanks(op, results)
 
 	// Route: rank d's next inbox is the concatenation of out[s][d] in source
-	// order — the same deterministic alltoallv as the simulation.
+	// order — the same deterministic alltoallv as the simulation, over the
+	// records as they came off the wire.
 	var msgs int64
 	for dst := range c.inboxes {
 		c.inboxes[dst] = c.inboxes[dst][:0]
 	}
-	for _, f := range results {
-		for dst, box := range f.Out {
+	for _, rx := range results {
+		for dst, box := range rx.Out {
 			c.inboxes[dst] = append(c.inboxes[dst], box...)
-			msgs += int64(len(box))
+			msgs += int64(len(box) / msgSize)
 		}
-		c.renewNew = append(c.renewNew, f.NewRenew...)
+		c.renewNew = append(c.renewNew, rx.NewRenew...)
 	}
 	c.stats.Supersteps++
 	c.stats.Messages += msgs
@@ -559,13 +618,22 @@ func (c *Coordinator) step(ctx context.Context, op byte, scatterM *matching.Matc
 	return results, msgs, nil
 }
 
+// release hands the last step's frames back to their slots.
+func (c *Coordinator) release() {
+	for rank, rx := range c.results {
+		if rx != nil {
+			c.slots[rank].recycle(rx)
+			c.results[rank] = nil
+		}
+	}
+}
+
 // noteRanks folds one gathered superstep into every rank's /cluster row and,
 // with a tracer, records each rank's compute span on its lane. A span ends
 // when the rank's StepDone arrived and lasts the compute time the worker
 // reported, so every lane is on the coordinator's clock.
-func (c *Coordinator) noteRanks(op byte, results []stepDoneFrame) {
-	for rank := range results {
-		f := &results[rank]
+func (c *Coordinator) noteRanks(op byte, results []*rxFrame) {
+	for rank, f := range results {
 		s := c.slots[rank]
 		s.steps++
 		s.latSum += f.Dur
@@ -585,43 +653,44 @@ func (c *Coordinator) noteRanks(op byte, results []stepDoneFrame) {
 	c.rec.Tracer().Ingest(c.spans)
 }
 
-// gather waits for rank's response to (epoch, ssid), discarding stale frames.
+// gather waits for rank's response to (epoch, ssid), recycling stale frames.
 // A lost connection ends the wait at once: the rank's pump exits, and gather
 // wakes on it. The run's heartbeat ticker covers a rank that stays connected
 // but falls silent past its lease; its channel buffers one tick, so a tick
 // left over from an earlier gather only makes that check early.
-func (c *Coordinator) gather(ctx context.Context, rank int, epoch, ssid uint64) (stepDoneFrame, error) {
+func (c *Coordinator) gather(ctx context.Context, rank int, epoch, ssid uint64) (*rxFrame, error) {
 	s := c.slots[rank]
 	s.mu.Lock()
 	pumped := s.pumped
 	s.mu.Unlock()
 	for {
 		select {
-		case f := <-s.frames:
-			if f.Epoch != epoch || f.SSID != ssid {
-				continue // leftover from a pre-recovery order
+		case rx := <-s.frames:
+			if rx.Epoch == epoch && rx.SSID == ssid {
+				return rx, nil
 			}
-			return f, nil
+			s.recycle(rx) // leftover from a pre-recovery order
 		case <-pumped:
 			// The pump queued every frame it decoded before it exited, so a
 			// response that beat the failure is taken; otherwise the rank
 			// is dead.
 			for {
 				select {
-				case f := <-s.frames:
-					if f.Epoch == epoch && f.SSID == ssid {
-						return f, nil
+				case rx := <-s.frames:
+					if rx.Epoch == epoch && rx.SSID == ssid {
+						return rx, nil
 					}
+					s.recycle(rx)
 				default:
-					return stepDoneFrame{}, &distnet.PeerDownError{Peer: rank, MissedFor: "connection lost"} //lint:ignore hotpath-alloc error exit, taken at most once per round
+					return nil, &distnet.PeerDownError{Peer: rank, MissedFor: "connection lost"} //lint:ignore hotpath-alloc error exit, taken at most once per round
 				}
 			}
 		case <-c.tick.C:
 			if err := c.dead(rank); err != nil {
-				return stepDoneFrame{}, err
+				return nil, err
 			}
 		case <-ctx.Done():
-			return stepDoneFrame{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 }
@@ -633,11 +702,16 @@ func (c *Coordinator) round(ctx context.Context, op byte) (info [2]int64, msgs i
 	if err != nil {
 		return info, 0, err
 	}
-	for i := range results {
-		info[0] += results[i].Info[0]
-		info[1] += results[i].Info[1]
+	return sumInfo(results), msgs, nil
+}
+
+// sumInfo sums the ranks' scalar results.
+func sumInfo(results []*rxFrame) (info [2]int64) {
+	for _, rx := range results {
+		info[0] += rx.Info[0]
+		info[1] += rx.Info[1]
 	}
-	return info, msgs, nil
+	return info
 }
 
 // Run executes the distributed matching over the connected (and still
@@ -793,7 +867,8 @@ func (c *Coordinator) recoverRank(ctx context.Context, rank int) error {
 func (c *Coordinator) drainFrames(s *slot) {
 	for {
 		select {
-		case <-s.frames:
+		case rx := <-s.frames:
+			s.recycle(rx)
 		default:
 			return
 		}
@@ -818,21 +893,25 @@ func (c *Coordinator) runEpoch(ctx context.Context) error {
 // phaseDone gathers the now-consistent mate arrays into c.lastGood, saves the
 // checkpoint, and exports the phase observability. This is the recovery
 // anchor: everything after a rank death rolls back to the matching gathered
-// here, which monotonicity makes safe.
-func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error {
-	results, _, err := c.step(ctx, opReportMates, nil)
-	if err != nil {
-		return err
+// here, which monotonicity makes safe. A due census rides the same round:
+// the workers run it before they report their mates.
+func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time, census bool) (info [2]int64, err error) {
+	op := opReportMates
+	if census {
+		op = opCensus
 	}
+	results, _, err := c.step(ctx, op, nil)
+	if err != nil {
+		return info, err
+	}
+	// Every pump checked its frame's mate blocks (doneInRange), so no
+	// rank's garbage can reach lastGood half copied.
 	lastGood := c.lastGood
-	for rank := range results {
+	for rank, rx := range results {
 		xlo, xhi := c.part.RangeX(rank)
 		ylo, yhi := c.part.RangeY(rank)
-		if len(results[rank].MateX) != int(xhi-xlo) || len(results[rank].MateY) != int(yhi-ylo) {
-			return &ProtoError{Frame: "stepdone", Reason: fmt.Sprintf("rank %d mate sizes (%d,%d)", rank, len(results[rank].MateX), len(results[rank].MateY))} //lint:ignore hotpath-alloc protocol-violation exit, never taken on a healthy run
-		}
-		copy(lastGood.MateX[xlo:xhi], results[rank].MateX)
-		copy(lastGood.MateY[ylo:yhi], results[rank].MateY)
+		copy(lastGood.MateX[xlo:xhi], rx.MateX)
+		copy(lastGood.MateY[ylo:yhi], rx.MateY)
 	}
 	card := lastGood.Cardinality()
 
@@ -854,7 +933,7 @@ func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error
 			MateY: lastGood.MateY,
 		}
 		if _, err := checkpoint.Save(c.opts.CheckpointDir, snap); err != nil {
-			return fmt.Errorf("dist: phase checkpoint: %w", err)
+			return info, fmt.Errorf("dist: phase checkpoint: %w", err)
 		}
 	}
 
@@ -865,7 +944,7 @@ func (c *Coordinator) phaseDone(ctx context.Context, phaseStart time.Time) error
 	if c.opts.OnPhase != nil {
 		c.opts.OnPhase(c.stats.Phases, card)
 	}
-	return nil
+	return sumInfo(results), nil
 }
 
 // finishStats closes out the run-level statistics.

@@ -56,6 +56,29 @@ const (
 	mAccept                   // a,b,c = y, x, root      → owner(y)
 )
 
+// Roles of a message's fields: an X or Y vertex of the graph, or one the
+// receiving rank owns because it indexes its own block with it.
+const (
+	argNone uint8 = iota
+	argX
+	argY
+	argOwnX
+	argOwnY
+)
+
+// msgArgs gives the roles of a, b and c for each message kind, as listed
+// above; a worker checks every inbox record against them (checkStep).
+var msgArgs = [...][3]uint8{
+	mClaim:       {argOwnY, argX, argX},
+	mAddFrontier: {argOwnX, argX, argNone},
+	mSetLeaf:     {argOwnX, argY, argNone},
+	mWalkY:       {argOwnY, argX, argNone},
+	mMatchReq:    {argOwnX, argY, argX},
+	mMateAck:     {argOwnY, argX, argNone},
+	mQuery:       {argOwnX, argY, argNone},
+	mAccept:      {argOwnY, argX, argX},
+}
+
 type message struct {
 	kind    uint8
 	a, b, c int32
@@ -240,13 +263,19 @@ func (e *Engine) gather(m *matching.Matching) {
 // round runs op on every rank concurrently, then exchanges; see
 // superstepper. The in-process ranks never fail, so err is always nil.
 func (e *Engine) round(_ context.Context, op byte) (info [2]int64, msgs int64, err error) {
+	info = e.execAll(op)
+	return info, e.exchange(), nil
+}
+
+// execAll runs op on every rank concurrently and sums their results.
+func (e *Engine) execAll(op byte) (info [2]int64) {
 	e.curOp = op
 	par.ForDynamic(0, len(e.ranks), 1, e.execRanks)
 	for _, ri := range e.info {
 		info[0] += ri[0]
 		info[1] += ri[1]
 	}
-	return info, e.exchange(), nil
+	return info
 }
 
 // exchange delivers all outboxes: rank d's inbox becomes the concatenation
@@ -294,8 +323,12 @@ func (e *Engine) exchange() int64 {
 // phaseDone exports the phase boundary: one phase span, the recorder status
 // update, and the OnPhase hook. The mate arrays are consistent here
 // (augmentation walks have drained), so the reported cardinality is the
-// matching a gather at this instant would see.
-func (e *Engine) phaseDone(_ context.Context, phaseStart time.Time) error {
+// matching a gather at this instant would see. A due census runs on every
+// rank in place, with no exchange: it sends nothing.
+func (e *Engine) phaseDone(_ context.Context, phaseStart time.Time, census bool) (info [2]int64, err error) {
+	if census {
+		info = e.execAll(opCensus)
+	}
 	card := e.stats.InitialCardinality + e.stats.AugPaths
 	e.mPhases.Add(1)
 	e.rec.Span("dist", "phase", phaseStart, time.Since(phaseStart), card)
@@ -303,5 +336,5 @@ func (e *Engine) phaseDone(_ context.Context, phaseStart time.Time) error {
 	if e.opts.OnPhase != nil {
 		e.opts.OnPhase(e.stats.Phases, card)
 	}
-	return nil
+	return info, nil
 }

@@ -19,12 +19,19 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 
 // readFrame reads one frame from r, reusing buf for the payload when it has
 // capacity. The returned payload aliases the (possibly grown) buffer, which
-// is also returned for reuse. A length header beyond lim.MaxFrame is a
-// *FrameError; transport failures are returned as-is for the caller to
-// classify.
+// is also returned for reuse. A buffer that must grow at least doubles, up to
+// the frame limit, so a run of ever larger frames costs a few allocations,
+// not one each. A length header beyond lim.MaxFrame is a *FrameError;
+// transport failures are returned as-is for the caller to classify.
 func readFrame(r io.Reader, lim Limits, buf []byte) (typ byte, payload, newBuf []byte, err error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into the payload buffer, which the payload then
+	// overwrites: a header array of its own escapes to the heap through
+	// the io.Reader, one allocation per frame.
+	if cap(buf) < headerSize {
+		buf = make([]byte, headerSize)
+	}
+	hdr := buf[:headerSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err
 	}
 	typ = hdr[0]
@@ -36,7 +43,7 @@ func readFrame(r io.Reader, lim Limits, buf []byte) (typ byte, payload, newBuf [
 	}
 	n := int(size)
 	if cap(buf) < n {
-		buf = make([]byte, n)
+		buf = make([]byte, n, min(max(n, 2*cap(buf)), lim.maxFrame()))
 	}
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -68,6 +68,19 @@ func (o ops) scatter(r *rank, mateX, mateY []int32) {
 	r.in = r.in[:0]
 }
 
+// inKinds lists, per op, the message kinds its inbox may hold: those the
+// round before it in the schedule sends. A worker rejects a record of any
+// other kind before it runs the op (checkStep); ops absent here read no
+// inbox at all.
+var inKinds = [opReportMates + 1]uint8{
+	opClaim:       1 << mClaim,
+	opApply:       1<<mAddFrontier | 1<<mSetLeaf,
+	opAugStep:     1<<mWalkY | 1<<mMatchReq | 1<<mMateAck,
+	opGraftAccept: 1 << mQuery,
+	opGraftAdopt:  1 << mAccept,
+	opGraftApply:  1<<mAddFrontier | 1<<mSetLeaf,
+}
+
 // exec is the one dispatcher for the schedule ops runPhases issues (opSeed
 // through opRebuild): it runs op on r, with in as the rank's inbox, and
 // returns the op's scalar results — the rank's frontier size after seed,
@@ -160,7 +173,7 @@ func (o ops) claim(r *rank, in []message) {
 // apply installs frontier additions and leaf discoveries from a claim round.
 func (o ops) apply(r *rank, in []message) {
 	for _, msg := range in {
-		//lint:ignore proto-exhaustive per-phase dispatch: each superstep routes only its own message kinds here, and decodeStep already rejected any kind outside the block
+		//lint:ignore proto-exhaustive per-phase dispatch: the round before sends only these two kinds, and a worker's checkStep already rejected any kind outside inKinds[op]
 		switch msg.kind {
 		case mAddFrontier:
 			x, root := msg.a, msg.b
@@ -204,14 +217,27 @@ func (o ops) augStep(r *rank, in []message) {
 // X token flips the mate, acks it to the Y side (in place when r owns the Y)
 // and moves on toward the root. Walks are vertex-disjoint, so the order in
 // which a rank carries them does not change the mates they leave.
+//
+// A walk is a simple path, so r carries it through each owned X at most
+// once, and every X on it short of the root has a mate, every Y a tree
+// parent. Only a forged token (a worker's inbox comes off the wire) breaks
+// that; the walk then ends where it breaks, instead of indexing outside the
+// rank or circling forever.
 func (o ops) walk(r *rank, dst int, msg message) {
+	hops := r.xhi - r.xlo
 	for dst == r.id {
 		switch msg.kind {
 		case mWalkY:
 			y, root := msg.a, msg.b
 			x := r.parentY[r.ly(y)]
+			if x == none {
+				return
+			}
 			dst, msg = o.part.OwnerX(x), message{mMatchReq, x, y, root}
 		case mMatchReq:
+			if hops--; hops < 0 {
+				return
+			}
 			x, y, root := msg.a, msg.b, msg.c
 			prev := r.mateX[r.lx(x)]
 			r.mateX[r.lx(x)] = y
@@ -220,7 +246,7 @@ func (o ops) walk(r *rank, dst int, msg message) {
 			} else {
 				r.send(owner, message{mMateAck, y, x, 0})
 			}
-			if x == root {
+			if x == root || prev == none {
 				return
 			}
 			dst, msg = o.part.OwnerY(prev), message{mWalkY, prev, root, 0}
@@ -310,7 +336,7 @@ func (o ops) graftAdopt(r *rank, in []message) {
 // adopting tree is live and this is its freshest path.
 func (o ops) graftApply(r *rank, in []message) {
 	for _, msg := range in {
-		//lint:ignore proto-exhaustive per-phase dispatch: each superstep routes only its own message kinds here, and decodeStep already rejected any kind outside the block
+		//lint:ignore proto-exhaustive per-phase dispatch: the round before sends only these two kinds, and a worker's checkStep already rejected any kind outside inKinds[op]
 		switch msg.kind {
 		case mAddFrontier:
 			x, root := msg.a, msg.b

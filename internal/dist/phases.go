@@ -16,8 +16,10 @@ type superstepper interface {
 	// point-to-point messages routed.
 	round(ctx context.Context, op byte) (info [2]int64, msgs int64, err error)
 	// phaseDone marks a phase boundary: augmentation has drained, so the
-	// mate arrays are consistent and the phase can be exported.
-	phaseDone(ctx context.Context, phaseStart time.Time) error
+	// mate arrays are consistent and the phase can be exported. When census
+	// is set it also runs the census on every rank and returns the summed
+	// (active X, renewable Y) pair the graft decision reads.
+	phaseDone(ctx context.Context, phaseStart time.Time, census bool) (info [2]int64, err error)
 }
 
 // runPhases is the distributed MS-BFS-Graft superstep schedule, shared by
@@ -26,9 +28,10 @@ type superstepper interface {
 // synchronously (expand, claim and apply rounds per level), augments every
 // discovered path by token passing (an aug-init round, then aug-step rounds
 // until no walk traffic remains: one per change of owner along the longest
-// walk), and marks the boundary. A census then decides between the four
-// graft rounds of Algorithm 7 (query, accept, adopt, apply) and a rebuild
-// from the unmatched X vertices.
+// walk), and marks the boundary. The census rides the boundary, and
+// decides between the four graft rounds of Algorithm 7 (query, accept,
+// adopt, apply) and a rebuild from the unmatched X vertices. The last phase,
+// which found no path, needs no census.
 //
 // stats receives edges traversed (claims and graft queries sent),
 // augmenting paths, phases, grafts and rebuilds; the runtime counts its own
@@ -76,16 +79,13 @@ func runPhases(ctx context.Context, rt superstepper, stats *Stats, grafting bool
 		}
 		stats.AugPaths += paths
 		stats.Phases++
-		if err := rt.phaseDone(ctx, phaseStart); err != nil {
+		if info, err = rt.phaseDone(ctx, phaseStart, paths > 0); err != nil {
 			return err
 		}
 		if paths == 0 {
 			return nil
 		}
 
-		if info, _, err = rt.round(ctx, opCensus); err != nil {
-			return err
-		}
 		if activeX, renewY := info[0], info[1]; grafting && float64(activeX) > float64(renewY)/alpha {
 			stats.Grafts++
 			if _, msgs, err = rt.round(ctx, opGraftQuery); err != nil {

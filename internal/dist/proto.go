@@ -3,6 +3,7 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"graftmatch/internal/checkpoint"
 )
@@ -13,8 +14,11 @@ import (
 // dropped the reliable session (sequence prefixes, ack frames) and the Hello
 // nonce: every frame travels directly on the connection, and the connection
 // is the worker incarnation. v4 put the worker's compute time on StepDone
-// and dropped the telemetry frame and the Hello send timestamp.
-const protoVersion = 4
+// and dropped the telemetry frame and the Hello send timestamp. v5 moved the
+// census onto the phase boundary: an opCensus Step now answers with the
+// rank's mates as well as its census, and opReportMates ends only the last
+// phase.
+const protoVersion = 5
 
 // Frame types on a cluster link. Hello and Welcome open a fresh connection;
 // everything else follows on the same connection.
@@ -40,14 +44,19 @@ const (
 	opApply                       // BFS apply: install frontier/leaf updates
 	opAugInit                     // start augmenting walks at renewable roots
 	opAugStep                     // advance token-passing walks
-	opCensus                      // classify Y vertices, report graft census
+	opCensus                      // phase boundary with a graft decision due: census plus report-mates
 	opGraftQuery                  // freed Y query neighbors' owners
 	opGraftAccept                 // active X owners accept queries
 	opGraftAdopt                  // freed Y adopt first acceptance
 	opGraftApply                  // install post-adoption frontier/leaf updates
 	opRebuild                     // destroy active trees, reseed from unmatched
-	opReportMates                 // return the rank's mate arrays (phase boundary)
+	opReportMates                 // return the rank's mate arrays (the last phase's boundary)
 )
+
+// msgSize is one message record on the wire: the kind byte, then a, b and c
+// as little-endian int32s. Inboxes and outboxes travel as runs of records,
+// and the coordinator routes them as bytes without reading one.
+const msgSize = 13
 
 // opNames maps op codes to the names of the rank spans in the cluster
 // trace. Index 0 and out-of-range ops render as "op?" rather than faulting
@@ -120,15 +129,15 @@ type stepFrame struct {
 	Trace    uint64
 	Op       byte
 	RenewNew []int32
-	In       []message
+	In       []byte  // message records, msgSize bytes each
 	MateX    []int32 // opScatter only
 	MateY    []int32 // opScatter only
 }
 
 // stepDoneFrame reports a superstep: per-destination outboxes, the roots that
 // turned renewable, the op's scalar results in Info (frontier size, paths,
-// census counts), and Dur, the worker's compute time for the op. ReportMates
-// steps carry the block's mate arrays.
+// census counts), and Dur, the worker's compute time for the op. The phase
+// boundary's census and report-mates steps carry the block's mate arrays.
 type stepDoneFrame struct {
 	Epoch    uint64
 	SSID     uint64
@@ -137,9 +146,9 @@ type stepDoneFrame struct {
 	Info     [2]int64
 	Dur      int64 // nanoseconds the worker spent executing the op
 	NewRenew []int32
-	Out      [][]message
-	MateX    []int32 // opReportMates only
-	MateY    []int32 // opReportMates only
+	Out      [][]byte // per destination: message records, msgSize bytes each
+	MateX    []int32  // opCensus and opReportMates only
+	MateY    []int32  // opCensus and opReportMates only
 
 	// Arrived is the coordinator's clock (UnixNano) when its pump read the
 	// frame; it is not on the wire. The rank's span is [Arrived−Dur,
@@ -163,8 +172,14 @@ func putI32s(b []byte, s []int32) []byte {
 	return b
 }
 
-func putMsgs(b []byte, ms []message) []byte {
-	b = putU32(b, uint32(len(ms)))
+// putRecords appends a run of message records behind its count.
+func putRecords(b, recs []byte) []byte {
+	b = putU32(b, uint32(len(recs)/msgSize))
+	return append(b, recs...)
+}
+
+// appendMsgs appends ms as message records.
+func appendMsgs(b []byte, ms []message) []byte {
 	for _, m := range ms {
 		b = append(b, m.kind)
 		b = putI32(b, m.a)
@@ -172,6 +187,17 @@ func putMsgs(b []byte, ms []message) []byte {
 		b = putI32(b, m.c)
 	}
 	return b
+}
+
+// record decodes the i-th message record of recs.
+func record(recs []byte, i int) message {
+	rec := recs[i*msgSize : (i+1)*msgSize]
+	return message{
+		kind: rec[0],
+		a:    int32(binary.LittleEndian.Uint32(rec[1:])),
+		b:    int32(binary.LittleEndian.Uint32(rec[5:])),
+		c:    int32(binary.LittleEndian.Uint32(rec[9:])),
+	}
 }
 
 func encodeHello(h helloFrame) []byte {
@@ -204,7 +230,7 @@ func encodeStep(buf []byte, f *stepFrame) []byte {
 	b = putU64(b, f.Trace)
 	b = append(b, f.Op)
 	b = putI32s(b, f.RenewNew)
-	b = putMsgs(b, f.In)
+	b = putRecords(b, f.In)
 	b = putI32s(b, f.MateX)
 	b = putI32s(b, f.MateY)
 	return b
@@ -223,7 +249,7 @@ func encodeStepDone(buf []byte, f *stepDoneFrame) []byte {
 	b = putI32s(b, f.NewRenew)
 	b = putU32(b, uint32(len(f.Out)))
 	for _, box := range f.Out {
-		b = putMsgs(b, box)
+		b = putRecords(b, box)
 	}
 	b = putI32s(b, f.MateX)
 	b = putI32s(b, f.MateY)
@@ -325,28 +351,32 @@ func (r *pr) fits(n uint32, size uint64, why string) bool {
 	return true
 }
 
-func (r *pr) i32s() []int32 {
+// i32s decodes a counted int32 array into dst's storage, growing it only
+// when the count outgrows it.
+func (r *pr) i32s(dst []int32) []int32 {
 	n := r.u32()
-	if !r.fits(n, 4, "element count exceeds frame") || n == 0 {
-		return nil
+	if !r.fits(n, 4, "element count exceeds frame") {
+		return dst[:0]
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = r.i32()
+	dst = slices.Grow(dst[:0], int(n))[:n]
+	for i := range dst {
+		dst[i] = r.i32()
 	}
-	return out
+	return dst
 }
 
-func (r *pr) msgs() []message {
+// records returns a counted run of message records as a subslice of the
+// frame: the count is checked against the bytes present, and nothing is
+// copied or decoded.
+func (r *pr) records() []byte {
 	n := r.u32()
-	if !r.fits(n, 13, "message count exceeds frame") || n == 0 {
+	if !r.fits(n, msgSize, "message count exceeds frame") {
 		return nil
 	}
-	out := make([]message, n)
-	for i := range out {
-		out[i] = message{kind: r.u8(), a: r.i32(), b: r.i32(), c: r.i32()}
-	}
-	return out
+	end := r.off + int(n)*msgSize
+	recs := r.b[r.off:end:end]
+	r.off = end
+	return recs
 }
 
 // finish validates the frame consumed exactly: trailing garbage is as
@@ -386,50 +416,51 @@ func decodeWelcome(b []byte) (welcomeFrame, error) {
 	return w, r.finish()
 }
 
-func decodeStep(b []byte) (stepFrame, error) {
+// decodeStep decodes a Step payload into f, reusing f's arrays. f.In
+// aliases b: the worker decodes and checks the records against its rank
+// (checkStep) before it runs the op.
+func decodeStep(b []byte, f *stepFrame) error {
 	r := newPR("step", b)
-	f := stepFrame{
-		Epoch:    r.u64(),
-		SSID:     r.u64(),
-		Trace:    r.u64(),
-		Op:       r.u8(),
-		RenewNew: r.i32s(),
-		In:       r.msgs(),
-		MateX:    r.i32s(),
-		MateY:    r.i32s(),
-	}
+	f.Epoch = r.u64()
+	f.SSID = r.u64()
+	f.Trace = r.u64()
+	f.Op = r.u8()
+	f.RenewNew = r.i32s(f.RenewNew)
+	f.In = r.records()
+	f.MateX = r.i32s(f.MateX)
+	f.MateY = r.i32s(f.MateY)
 	if !r.bad && (f.Op < opScatter || f.Op > opReportMates) {
 		r.fail("unknown op")
 	}
-	return f, r.finish()
+	return r.finish()
 }
 
-// decodeStepDone validates the outbox fan-out against the cluster width K.
-func decodeStepDone(b []byte, k int) (stepDoneFrame, error) {
+// decodeStepDone decodes a StepDone payload into f, reusing f's arrays, and
+// validates the outbox fan-out against the cluster width K. The outboxes
+// alias b: the coordinator routes them as they are.
+func decodeStepDone(b []byte, k int, f *stepDoneFrame) error {
 	r := newPR("stepdone", b)
-	f := stepDoneFrame{
-		Epoch: r.u64(),
-		SSID:  r.u64(),
-		Trace: r.u64(),
-		Op:    r.u8(),
-	}
+	f.Epoch = r.u64()
+	f.SSID = r.u64()
+	f.Trace = r.u64()
+	f.Op = r.u8()
 	f.Info[0] = r.i64()
 	f.Info[1] = r.i64()
 	f.Dur = r.i64()
-	f.NewRenew = r.i32s()
+	f.NewRenew = r.i32s(f.NewRenew)
 	nOut := int(r.u32())
 	if !r.bad && nOut != k {
 		r.fail(fmt.Sprintf("outbox fan-out %d, want %d", nOut, k))
 	}
+	f.Out = f.Out[:0]
 	if !r.bad {
-		f.Out = make([][]message, nOut)
-		for i := range f.Out {
-			f.Out[i] = r.msgs()
+		for range nOut {
+			f.Out = append(f.Out, r.records())
 		}
 	}
-	f.MateX = r.i32s()
-	f.MateY = r.i32s()
-	return f, r.finish()
+	f.MateX = r.i32s(f.MateX)
+	f.MateY = r.i32s(f.MateY)
+	return r.finish()
 }
 
 func decodeAbort(b []byte) (string, error) {

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -72,6 +73,52 @@ func rawJoin(t *testing.T, c *Coordinator, g *bipartite.Graph) (*distnet.Conn, w
 	}
 	conn.SetTimeouts(0, 500*time.Millisecond)
 	return conn, w
+}
+
+// TestHandshakeRefusesOtherVersion: a worker built from another protocol
+// version must be refused at the handshake, not attached. A v4 worker answers
+// an opCensus Step without its mates, so attaching one would kill the rank at
+// every phase boundary until the recovery budget ran out.
+func TestHandshakeRefusesOtherVersion(t *testing.T) {
+	g := gen.ER(50, 50, 200, 9)
+	opts := testClusterOpts()
+	opts.Ranks = 1
+	c, err := NewCoordinator(g, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, v := range []uint16{4, protoVersion + 1} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		conn, err := distnet.Dial(ctx, c.Addr(), distnet.Config{
+			ReadTimeout:  2 * time.Second,
+			WriteTimeout: 2 * time.Second,
+		})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := encodeHello(helloFrame{Version: v, Rank: 0, FP: checkpoint.GraphFingerprint(g)})
+		if err := conn.Send(fHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := conn.Recv()
+		conn.Close()
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if typ != fAbort {
+			t.Fatalf("version %d: handshake answered with frame type %d, want Abort", v, typ)
+		}
+		reason, err := decodeAbort(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("protocol version %d, want %d", v, protoVersion)
+		if reason != want {
+			t.Fatalf("version %d: refused with %q, want %q", v, reason, want)
+		}
+	}
 }
 
 // waitFailed polls until the coordinator marks rank failed, and fails the

@@ -243,8 +243,14 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		return err
 	}
 
+	// The Step, the response and its encoding are decoded into and built
+	// in the same storage every round.
 	epoch := w.Epoch
-	var doneBuf []byte
+	var (
+		step    stepFrame
+		done    stepDoneFrame
+		doneBuf []byte
+	)
 	for {
 		typ, payload, err := conn.Recv()
 		if err != nil {
@@ -263,22 +269,19 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			}
 			return fmt.Errorf("dist: coordinator aborted run: %s", reason) //lint:ignore hotpath-alloc abort exit of the step loop
 		case fStep:
-			f, err := decodeStep(payload)
-			if err != nil {
+			if err := decodeStep(payload, &step); err != nil {
 				return err
 			}
-			if f.Epoch < epoch {
+			if step.Epoch < epoch {
 				continue // stale order from before a recovery; already superseded
 			}
-			epoch = f.Epoch
+			epoch = step.Epoch
 			t0 := time.Now()
-			done, err := execStep(o, r, &f)
-			if err != nil {
+			if err := execStep(o, r, &step, &done); err != nil {
 				return err
 			}
 			done.Dur = int64(time.Since(t0))
-			doneBuf = encodeStepDone(doneBuf, done)
-			clearOutboxes(r) // done.Out aliases r.out; encoded, so safe to reset
+			doneBuf = encodeStepDone(doneBuf, &done)
 			if err := conn.Send(fStepDone, doneBuf); err != nil {
 				return ended(err)
 			}
@@ -288,39 +291,113 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 }
 
-// execStep runs one superstep order against the rank state and assembles the
-// response: outboxes drained from the rank, newly-renewable roots, and the
-// op's scalar results. Schedule ops go to ops.exec; scatter and report-mates
-// are the cluster's recovery rounds and exist only here.
-func execStep(o ops, r *rank, f *stepFrame) (*stepDoneFrame, error) {
+// execStep runs one superstep order against the rank state and fills done
+// with the response, reusing done's arrays: the op's scalar results, the
+// newly renewable roots, and the outboxes drained from the rank as message
+// records. checkStep turns a hostile order away before anything touches the
+// rank. Schedule ops go to ops.exec; scatter and the phase boundary's mate
+// reports exist only here. The census rides the boundary of every phase but
+// the last, so a census order also reports the mates.
+func execStep(o ops, r *rank, f *stepFrame, done *stepDoneFrame) error {
+	if err := o.checkStep(r, f); err != nil {
+		return err
+	}
 	o.mergeRenewable(r, f.RenewNew)
-	done := &stepDoneFrame{Epoch: f.Epoch, SSID: f.SSID, Trace: f.Trace, Op: f.Op}
+	done.Epoch, done.SSID, done.Trace, done.Op = f.Epoch, f.SSID, f.Trace, f.Op
+	done.Info = [2]int64{}
+	done.MateX, done.MateY = nil, nil
 	switch f.Op {
 	case opScatter:
-		if len(f.MateX) != int(r.xhi-r.xlo) || len(f.MateY) != int(r.yhi-r.ylo) {
-			return nil, &ProtoError{
-				Frame:  "step",
-				Reason: fmt.Sprintf("scatter sizes (%d,%d), want (%d,%d)", len(f.MateX), len(f.MateY), r.xhi-r.xlo, r.yhi-r.ylo),
-			}
-		}
 		o.scatter(r, f.MateX, f.MateY)
-	case opSeed, opExpand, opClaim, opApply, opAugInit, opAugStep, opCensus,
+	case opSeed, opExpand, opClaim, opApply, opAugInit, opAugStep,
 		opGraftQuery, opGraftAccept, opGraftAdopt, opGraftApply, opRebuild:
-		done.Info, _ = o.exec(r, f.Op, f.In)
-	case opReportMates:
-		done.MateX = r.mateX
-		done.MateY = r.mateY
+		done.Info, _ = o.exec(r, f.Op, r.in)
+	case opCensus, opReportMates:
+		if f.Op == opCensus {
+			done.Info, _ = o.exec(r, opCensus, nil)
+		}
+		done.MateX, done.MateY = r.mateX, r.mateY
 	default:
-		return nil, &ProtoError{Frame: "step", Reason: fmt.Sprintf("unknown op %d", f.Op)}
+		return stepError(fmt.Sprintf("unknown op %d", f.Op))
 	}
-	done.NewRenew = takeNewRenewable(r, nil)
-	done.Out = r.out
-	return done, nil
-}
-
-// clearOutboxes resets the rank's outboxes after their content is encoded.
-func clearOutboxes(r *rank) {
+	done.NewRenew = takeNewRenewable(r, done.NewRenew[:0])
+	if len(done.Out) != len(r.out) {
+		done.Out = make([][]byte, len(r.out))
+	}
 	for dst := range r.out {
+		done.Out[dst] = appendMsgs(done.Out[dst][:0], r.out[dst])
 		r.out[dst] = r.out[dst][:0]
 	}
+	return nil
+}
+
+// checkStep returns a *ProtoError for an order whose execution could index
+// outside the rank, before anything touches the rank: a renewable root that
+// is not an X vertex, a scatter mate outside its side's range, or an inbox
+// record of a kind the op does not consume (inKinds) or naming a vertex out
+// of range, or not owned where the op indexes it (msgArgs). It decodes the
+// inbox into r.in as it checks it.
+func (o ops) checkStep(r *rank, f *stepFrame) error {
+	nx, ny := o.g.NX(), o.g.NY()
+	if i := outside(f.RenewNew, 0, nx); i >= 0 {
+		return stepError(fmt.Sprintf("renewable root %d outside [0, %d)", f.RenewNew[i], nx))
+	}
+	if f.Op == opScatter {
+		if len(f.MateX) != int(r.xhi-r.xlo) || len(f.MateY) != int(r.yhi-r.ylo) {
+			return stepError(fmt.Sprintf("scatter sizes (%d,%d), want (%d,%d)", len(f.MateX), len(f.MateY), r.xhi-r.xlo, r.yhi-r.ylo))
+		}
+		if i := outside(f.MateX, none, ny); i >= 0 {
+			return stepError(fmt.Sprintf("scatter mate %d of X %d outside [-1, %d)", f.MateX[i], r.xlo+int32(i), ny))
+		}
+		if i := outside(f.MateY, none, nx); i >= 0 {
+			return stepError(fmt.Sprintf("scatter mate %d of Y %d outside [-1, %d)", f.MateY[i], r.ylo+int32(i), nx))
+		}
+	}
+	r.in = r.in[:0]
+	kinds := inKinds[f.Op]
+	for i := range len(f.In) / msgSize {
+		m := record(f.In, i)
+		if int(m.kind) >= len(msgArgs) || kinds&(1<<m.kind) == 0 {
+			return badRecord(f.Op, m, "a kind the op does not consume")
+		}
+		args := &msgArgs[m.kind]
+		if !r.holds(args[0], m.a, nx, ny) || !r.holds(args[1], m.b, nx, ny) || !r.holds(args[2], m.c, nx, ny) {
+			return badRecord(f.Op, m, "a vertex out of range or not owned")
+		}
+		r.in = append(r.in, m)
+	}
+	return nil
+}
+
+// holds reports whether v can fill a message field of the given role on r.
+func (r *rank) holds(role uint8, v, nx, ny int32) bool {
+	switch role {
+	case argX:
+		return 0 <= v && v < nx
+	case argY:
+		return 0 <= v && v < ny
+	case argOwnX:
+		return r.xlo <= v && v < r.xhi
+	case argOwnY:
+		return r.ylo <= v && v < r.yhi
+	default: // argNone: the field is not read
+		return true
+	}
+}
+
+// outside returns the index of the first value of s outside [lo, hi), or -1.
+func outside(s []int32, lo, hi int32) int {
+	for i, v := range s {
+		if v < lo || v >= hi {
+			return i
+		}
+	}
+	return -1
+}
+
+func stepError(reason string) error { return &ProtoError{Frame: "step", Reason: reason} }
+
+// badRecord describes an inbox record checkStep rejected.
+func badRecord(op byte, m message, why string) error {
+	return stepError(fmt.Sprintf("%s inbox: record {%d %d %d %d}: %s", opSpanName(op), m.kind, m.a, m.b, m.c, why))
 }
