@@ -55,6 +55,7 @@ type engine struct {
 	// original direction-optimizing BFS: vertex counts systematically
 	// overestimate the profitability of bottom-up on skewed graphs whose
 	// unvisited side is dominated by permanently unreachable vertices.
+	// unvisitedYEdges is kept only while keepsDegrees holds.
 	unvisitedY      int64
 	unvisitedYEdges int64
 
@@ -350,6 +351,14 @@ func (e *engine) seedFrontierFromUnmatched() {
 	e.cur.Gather(e.locals, 0)
 }
 
+// keepsDegrees reports whether unvisitedYEdges is still kept. Only
+// useTopDown reads it, and nothing calls useTopDown without direction
+// optimization or once the trip-wire has fired (nothing resets it), so from
+// then on claims and resets skip the degree reads.
+func (e *engine) keepsDegrees() bool {
+	return e.opts.DirectionOptimized && !e.bottomUpTripped
+}
+
 // useTopDown applies the direction heuristic: top-down while the frontier's
 // outgoing edge count is small relative to the edges incident to unvisited
 // Y vertices (m_F < m_U/α), the edge-based form of the rule from the
@@ -388,6 +397,7 @@ func (e *engine) topDown() {
 			TestHookWorkerFault(w)
 		}
 		l := &e.locals[w]
+		keepDeg := e.keepsDegrees()
 		var edges, claims, claimedDeg int64
 		for i := lo; i < hi; i++ {
 			x := f[i]
@@ -405,7 +415,9 @@ func (e *engine) topDown() {
 					continue
 				}
 				claims++
-				claimedDeg += e.g.DegY(y)
+				if keepDeg {
+					claimedDeg += e.g.DegY(y)
+				}
 				e.parentY[y] = x
 				if mate := mateY[y]; mate != none {
 					e.rootX[mate] = root
@@ -429,6 +441,7 @@ func (e *engine) topDownSerial() {
 	f := e.cur.Slice()
 	mateY := e.m.MateY
 	l := &e.locals[0]
+	keepDeg := e.keepsDegrees()
 	var edges, claims, claimedDeg int64
 	for _, x := range f {
 		root := e.rootX[x]
@@ -442,7 +455,9 @@ func (e *engine) topDownSerial() {
 				continue
 			}
 			claims++
-			claimedDeg += e.g.DegY(y)
+			if keepDeg {
+				claimedDeg += e.g.DegY(y)
+			}
 			e.parentY[y] = x
 			e.rootY[y] = root
 			if mate := mateY[y]; mate != none {
@@ -493,6 +508,7 @@ func (e *engine) bottomUp(r []int32) {
 	mateY := e.m.MateY
 	e.pforDyn(len(r), 64, func(w int, lo, hi int) {
 		l := &e.locals[w]
+		keepDeg := e.keepsDegrees()
 		var edges, claims, claimedDeg int64
 		for i := lo; i < hi; i++ {
 			y := r[i]
@@ -506,7 +522,9 @@ func (e *engine) bottomUp(r []int32) {
 					continue // x is not in an active tree
 				}
 				claims++
-				claimedDeg += e.g.DegY(y)
+				if keepDeg {
+					claimedDeg += e.g.DegY(y)
+				}
 				e.parentY[y] = x
 				e.rootY[y] = root
 				if mate := mateY[y]; mate != none {
@@ -529,6 +547,7 @@ func (e *engine) bottomUp(r []int32) {
 func (e *engine) bottomUpSerial(r []int32) {
 	mateY := e.m.MateY
 	l := &e.locals[0]
+	keepDeg := e.keepsDegrees()
 	var edges, claims, claimedDeg int64
 	for _, y := range r {
 		for _, x := range e.g.NbrY(y) {
@@ -538,7 +557,9 @@ func (e *engine) bottomUpSerial(r []int32) {
 				continue // x is not in an active tree
 			}
 			claims++
-			claimedDeg += e.g.DegY(y)
+			if keepDeg {
+				claimedDeg += e.g.DegY(y)
+			}
 			e.parentY[y] = x
 			e.rootY[y] = root
 			if mate := mateY[y]; mate != none {
@@ -659,12 +680,15 @@ func (e *engine) graftStep() {
 	renewDeg := e.phaseDeg
 	renewDeg.Reset()
 	if !e.pfor(len(renewable), func(w, lo, hi int) {
+		keepDeg := e.keepsDegrees()
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := renewable[i]
 			e.rootY[y] = none
 			e.parentY[y] = none
-			deg += e.g.DegY(y)
+			if keepDeg {
+				deg += e.g.DegY(y)
+			}
 		}
 		renewDeg.Add(w, deg)
 	}) {
@@ -694,13 +718,16 @@ func (e *engine) graftStep() {
 	activeDeg := e.phaseDeg
 	activeDeg.Reset()
 	if !e.pfor(len(active), func(w, lo, hi int) {
+		keepDeg := e.keepsDegrees()
 		var deg int64
 		for i := lo; i < hi; i++ {
 			y := active[i]
 			e.rootY[y] = none
 			e.parentY[y] = none
 			e.rootX[mateY[y]] = none
-			deg += e.g.DegY(y)
+			if keepDeg {
+				deg += e.g.DegY(y)
+			}
 		}
 		activeDeg.Add(w, deg)
 	}) {

@@ -140,10 +140,35 @@ func checkRenewableBookkeeping(t *testing.T, e *engine) {
 	}
 }
 
+// checkUnvisited verifies the direction heuristic's inputs at a phase
+// boundary: unvisitedY counts the unvisited Y vertices and, while the engine
+// keeps it, unvisitedYEdges is their degree sum. It reports whether the
+// degree sum was checked.
+func checkUnvisited(t *testing.T, e *engine) bool {
+	t.Helper()
+	var n, deg int64
+	for y, r := range e.rootY {
+		if r == none {
+			n++
+			deg += e.g.DegY(int32(y))
+		}
+	}
+	if n != e.unvisitedY {
+		t.Fatalf("unvisitedY %d, want %d", e.unvisitedY, n)
+	}
+	if !e.keepsDegrees() {
+		return false
+	}
+	if deg != e.unvisitedYEdges {
+		t.Fatalf("unvisitedYEdges %d, want the degree sum %d of the %d unvisited Y", e.unvisitedYEdges, deg, n)
+	}
+	return true
+}
+
 // TestPhaseInvariants runs the engine with the white-box hook installed and
-// validates the forest and the renewable bookkeeping at every phase
-// boundary, across option combinations (serial, and the full algorithm at
-// two threads) and graph classes.
+// validates the forest, the renewable bookkeeping and the unvisited-Y counts
+// at every phase boundary, across option combinations (serial, and the full
+// algorithm at two threads) and graph classes.
 func TestPhaseInvariants(t *testing.T) {
 	defer func() { phaseHook = nil }()
 
@@ -153,6 +178,9 @@ func TestPhaseInvariants(t *testing.T) {
 	}{
 		{"plain", Options{Threads: 1}.Defaults()},
 		{"diropt", Options{Threads: 1, DirectionOptimized: true}.Defaults()},
+		// α = 2 keeps the degree sums through a rebuild of grid-30 that
+		// resets active trees.
+		{"diropt-alpha2", Options{Threads: 1, DirectionOptimized: true, Alpha: 2}.Defaults()},
 		{"graft", Options{Threads: 1, Grafting: true}.Defaults()},
 		{"full", FullOptions(1)},
 		{"full-p2", FullOptions(2)},
@@ -174,12 +202,19 @@ func TestPhaseInvariants(t *testing.T) {
 			g := gen.StripDiagonal(gen.Grid(12, 12))
 			return g, matchinit.KarpSipser(g, 1)
 		}},
+		{"grid-30", func() (*bipartite.Graph, *matching.Matching) {
+			g := gen.StripDiagonal(gen.Grid(30, 30))
+			return g, matchinit.KarpSipser(g, 1)
+		}},
 		{"empty-init", func() (*bipartite.Graph, *matching.Matching) {
 			g := gen.ScaleFree(200, 200, 4, 43)
 			return g, matching.New(g.NX(), g.NY())
 		}},
 	}
 
+	// The trip-wire often fires in the first BFS, so each option set with
+	// direction optimization needs only one graph whose hook sees the sum.
+	degChecks := map[string]int{}
 	for _, oc := range optionCases {
 		for _, gc := range graphCases {
 			t.Run(fmt.Sprintf("%s/%s", oc.name, gc.name), func(t *testing.T) {
@@ -188,6 +223,9 @@ func TestPhaseInvariants(t *testing.T) {
 					fired++
 					checkForestInvariants(t, e)
 					checkRenewableBookkeeping(t, e)
+					if checkUnvisited(t, e) {
+						degChecks[oc.name]++
+					}
 				}
 				defer func() { phaseHook = nil }()
 				g, m := gc.mk()
@@ -199,6 +237,9 @@ func TestPhaseInvariants(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+		}
+		if oc.opts.DirectionOptimized && degChecks[oc.name] == 0 {
+			t.Errorf("%s: no phase boundary checked the unvisited degree sum", oc.name)
 		}
 	}
 }

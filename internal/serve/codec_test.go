@@ -1,0 +1,180 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"graftmatch/internal/gen"
+	"graftmatch/internal/hk"
+	"graftmatch/internal/matching"
+)
+
+// TestDecodeCanonicalTakes pins which bodies the fast path reads itself and
+// which it hands to json.Unmarshal; FuzzDecodeRequest checks that the ones
+// it reads decode as json.Unmarshal decodes them.
+func TestDecodeCanonicalTakes(t *testing.T) {
+	for _, c := range []struct {
+		body string
+		fast bool
+	}{
+		{`{"instance":"g"}`, true},
+		{`{"instance":"g","mates":true}`, true},
+		{`{"instance":"g","initializer":"greedy","no_cache":true}`, true},
+		{`{"instance":"g","algorithm":"pf","class":"batch","threads":2,"seed":-7,"deadline_ms":250}`, true},
+		{`{"instance":"g","mate_x":[0,-1,2147483647,-2147483648],"mate_y":[]}`, true},
+		{`{"instance":"g","threads":-0,"mate_x":[-0]}`, true},
+		{"\t{ \"instance\" :\n\"g\" ,\r\"mate_x\" : [ 1 , -1 ] }\n", true},
+		{`{"instance":"a","instance":"b"}`, true},
+		{`{}`, true},
+		{`{"Instance":"g"}`, false},
+		{`{"instance":"\u0041"}`, false},
+		{"{\"instance\":\"gr\xc3\xa1f\"}", false},
+		{`{"instance":null}`, false},
+		{`{"instance":"g","threads":1.0}`, false},
+		{`{"instance":"g","seed":1e3}`, false},
+		{`{"instance":"g","mate_x":[01]}`, false},
+		{`{"instance":"g","mate_x":[2147483648]}`, false},
+		{`{"instance":"g","seed":9223372036854775808}`, false},
+		{`{"instance":"g","b":[1]}`, false},
+		{`{"instance":"g","extra":1}`, false},
+		{`{"instance":"g"}x`, false},
+		{`{"instance":"g","mate_x":[1,2,3,4,5]}`, false}, // over the cap of 4
+	} {
+		if _, fast := decodeCanonical([]byte(c.body), 4); fast != c.fast {
+			t.Errorf("%q: fast path %v, want %v", c.body, fast, c.fast)
+		}
+	}
+	if _, fast := decodeCanonical([]byte(`{"instance":"g","threads":2147483648}`), 4); fast != (strconv.IntSize == 64) {
+		t.Errorf("threads 2^31: fast path %v on a %d-bit int", fast, strconv.IntSize)
+	}
+}
+
+// TestMatchBodyIsEncoderOutput holds the /match encoder to json.NewEncoder's
+// bytes: for each answer shape the body equals the standard encoder's
+// output, newline included, and Content-Length is the body's length.
+func TestMatchBodyIsEncoderOutput(t *testing.T) {
+	mates := []int32{3, -1, 0, 2147483647, -2147483648, 1}
+	for name, resp := range map[string]*MatchResponse{
+		"no mates": {Instance: "small", Algorithm: "msbfsgraft", Cardinality: 190,
+			Complete: true, Source: "cache", InitialCardinality: 170, Phases: 4,
+			RuntimeMS: 0.123, Engine: "MS-BFS-Graft"},
+		"mates": {Instance: "small", Algorithm: "msbfsgraft", Cardinality: 4,
+			Complete: true, Source: "computed", Phases: 2, RuntimeMS: 1.5,
+			Engine: "MS-BFS-Graft", MateX: mates, MateY: mates[:4]},
+		"empty mate arrays": {Instance: "e", Algorithm: "pf", Source: "computed",
+			Complete: true, Engine: "PF", MateX: []int32{}, MateY: []int32{}},
+		"only mate_y": {Instance: "y", Algorithm: "pf", Source: "cache",
+			MateY: []int32{-1}},
+		"degraded partial": {Instance: "big", Algorithm: "msbfsgraft", Cardinality: 7,
+			Degraded: true, Source: "partial", InitialCardinality: 5, Phases: 1,
+			RuntimeMS: 1, Engine: "MS-BFS-Graft", MateX: mates},
+		"last-good": {Instance: "big", Algorithm: "pr", Cardinality: 9,
+			Complete: true, Degraded: true, Source: "last-good", RuntimeMS: 2.25,
+			Engine: "MS-BFS-Graft", MateX: mates, MateY: mates},
+		"escaped name": {Instance: "a<b>&\"c\"\u2028", Algorithm: "msbfsgraft",
+			Source: "cache", MateX: mates},
+		"large runtime_ms": {Instance: "slow", Algorithm: "msbfsgraft",
+			Complete: true, Source: "computed", RuntimeMS: 123456789.125},
+		"huge runtime_ms": {Instance: "slow", Algorithm: "msbfsgraft",
+			Source: "partial", RuntimeMS: 3e21, MateY: mates},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeMatch(rec, resp)
+		got := rec.Body.Bytes()
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want.Bytes())
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", name, cl, len(got))
+		}
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, Content-Type %q", name, rec.Code, rec.Header().Get("Content-Type"))
+		}
+	}
+}
+
+// TestMatchEndpointBodies checks real /match answers, computed and cached,
+// with and without mates, over HTTP: each body re-encodes byte for byte
+// through json.NewEncoder and arrives with its Content-Length.
+func TestMatchEndpointBodies(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, smallRegistry(t))
+	for _, body := range []string{
+		`{"instance":"small","mates":true}`,
+		`{"instance":"small","mates":true}`,
+		`{"instance":"small"}`,
+		`{"instance":"square","mates":true,"algorithm":"pf","no_cache":true}`,
+	} {
+		resp, err := http.Post(ts.URL+"/match", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var data bytes.Buffer
+		_, err = data.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v: %s", body, resp.StatusCode, err, data.Bytes())
+		}
+		if resp.ContentLength != int64(data.Len()) {
+			t.Errorf("%s: Content-Length %d for a %d-byte body", body, resp.ContentLength, data.Len())
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(decodeMatch(t, data.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data.Bytes(), want.Bytes()) {
+			t.Errorf("%s:\n got %s\nwant %s", body, data.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// BenchmarkServeCodec times the two codec paths of matchd's large bodies on
+// the perfbench matchd shapes: decoding a /verify body of 2 × 8,192 mates,
+// and encoding a cache hit with mates into a reused buffer. Both allocate
+// the same per op in every run, so the CI counters job gates allocs/op.
+func BenchmarkServeCodec(b *testing.B) {
+	g := gen.WebLike(13, 6, 0.30, 1)
+	m := matching.New(g.NX(), g.NY())
+	hk.Run(g, m)
+	b.Run("decode-verify", func(b *testing.B) {
+		body, err := json.Marshal(Request{Instance: "weblike-6-0", MateX: m.MateX, MateY: m.MateY})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeRequest(body, Caps{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-hit-mates", func(b *testing.B) {
+		resp := &MatchResponse{
+			Instance: "weblike-6-0", Algorithm: "msbfsgraft", Cardinality: m.Cardinality(),
+			Complete: true, Source: "cache", InitialCardinality: m.Cardinality() - 100,
+			Phases: 12, RuntimeMS: 0.287, Engine: "MS-BFS-Graft", MateX: m.MateX, MateY: m.MateY,
+		}
+		var buf bytes.Buffer
+		if err := encodeMatch(&buf, resp); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(buf.Len()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := encodeMatch(&buf, resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -124,14 +124,19 @@ const (
 // DecodeRequest parses and validates one request body under caps. Every
 // failure is a *BadRequestError suitable for a 400 response; the decoder
 // never panics on arbitrary input and never allocates beyond a small factor
-// of min(len(body), caps.MaxBody).
+// of min(len(body), caps.MaxBody). A canonical body (decodeCanonical) is
+// read in one pass; any other goes to json.Unmarshal, so every body yields
+// the request and the error encoding/json gives it.
 func DecodeRequest(body []byte, caps Caps) (*Request, error) {
 	if int64(len(body)) > caps.maxBody() {
 		return nil, badRequestf("request body %d bytes exceeds limit %d", len(body), caps.maxBody())
 	}
-	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequestf("malformed JSON: %v", err)
+	req, ok := decodeCanonical(body, caps.maxVector())
+	if !ok {
+		req = Request{}
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, badRequestf("malformed JSON: %v", err)
+		}
 	}
 	if req.Instance == "" {
 		return nil, badRequestf("missing \"instance\"")

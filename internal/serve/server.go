@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -401,12 +402,14 @@ func (s *Server) guard(h func(http.ResponseWriter, *http.Request, *Request)) htt
 			writeError(w, http.StatusMethodNotAllowed, "POST required", 0)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.Caps.maxBody()+1))
+		body, err := readBody(r.Body, s.cfg.Caps.maxBody()+1)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "reading body: "+err.Error(), 0)
 			return
 		}
-		req, err := DecodeRequest(body, s.cfg.Caps)
+		// Neither decode path keeps a reference into the body.
+		req, err := DecodeRequest(body.Bytes(), s.cfg.Caps)
+		putBuf(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error(), 0)
 			return
@@ -622,7 +625,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request, req *Reques
 	s.met.requests.Add(1)
 	// Exemplar links this latency bucket to the request's trace on /trace.
 	s.met.latency.ObserveEx(time.Since(start).Microseconds(), traceOf(reqFromCtx(r.Context())))
-	writeJSON(w, http.StatusOK, s.matchResponse(ins, req, out, time.Since(start)))
+	writeMatch(w, s.matchResponse(ins, req, out, time.Since(start)))
 }
 
 // matchResponse shapes an outcome into the wire form.
@@ -876,6 +879,22 @@ func (s *Server) writeFailure(w http.ResponseWriter, r *http.Request, err error)
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error(), 0)
 	}
+}
+
+// writeMatch answers 200 with resp, built in a pooled buffer and written
+// once with its Content-Length.
+func writeMatch(w http.ResponseWriter, resp *MatchResponse) {
+	buf := getBuf()
+	defer putBuf(buf)
+	if err := encodeMatch(buf, resp); err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding answer: "+err.Error(), 0)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(buf.Bytes()) // a write error means the client went away
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
