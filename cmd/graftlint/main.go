@@ -1,11 +1,11 @@
 // Command graftlint runs the repo's static analysis suite
 // (internal/analysis) over the module and reports findings with
-// file:line diagnostics. Its nine checks cover what neither go vet nor
-// go test -race catches: cache-line padding of per-worker state, context
-// propagation of the resilient entry points, error/panic hygiene,
-// goroutine/lock/WaitGroup flow rules, hot-path allocation, and the
-// protocol rules of the distributed runtime (exhaustive frame dispatch,
-// cancellable goroutine channel ops).
+// file:line diagnostics. Its six checks cover what neither go vet,
+// go test -race nor the tests' leak gate catches: cache-line padding of
+// per-worker state, context propagation of the resilient entry points,
+// error/panic hygiene, hot-path allocation, and the protocol rules of the
+// distributed runtime (exhaustive frame dispatch, cancellable goroutine
+// channel ops).
 //
 // Usage:
 //

@@ -17,8 +17,11 @@ import (
 	"time"
 
 	"graftmatch/internal/gen"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/mmio"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestRunFlagValidation(t *testing.T) {
 	var out strings.Builder

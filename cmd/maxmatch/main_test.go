@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graftmatch/internal/gen"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/mmio"
 )
 
@@ -16,7 +17,7 @@ func TestMain(m *testing.M) {
 	if err == nil {
 		os.Stdout = devnull
 	}
-	os.Exit(m.Run())
+	leaktest.Main(m)
 }
 
 func writeTestMatrix(t *testing.T) string {

@@ -10,8 +10,11 @@ import (
 
 	"graftmatch/internal/exps"
 	"graftmatch/internal/gen"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/reference"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // allAlgorithms lists every exact algorithm for cross-checking.
 var allAlgorithms = []Algorithm{

@@ -33,9 +33,6 @@ func Checks() []Check {
 		FalseShare(),
 		CtxDiscipline(),
 		ErrChecked(),
-		GoroutineLeak(),
-		LockDiscipline(),
-		WGBalance(),
 		HotPathAlloc(),
 		ProtoExhaustive(),
 		CtxSelect(),

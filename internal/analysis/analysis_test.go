@@ -25,9 +25,6 @@ var fixtureCases = []struct {
 	{"falseshare", []string{"falseshare"}, analysis.Config{}},
 	{"ctxdiscipline", []string{"ctx-discipline"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
 	{"errchecked", []string{"err-checked"}, analysis.Config{PanicPackages: []string{"neg"}}},
-	{"goroutineleak", []string{"goroutine-leak"}, analysis.Config{}},
-	{"lockdiscipline", []string{"lock-discipline"}, analysis.Config{}},
-	{"wgbalance", []string{"wg-balance"}, analysis.Config{}},
 	{"hotpathalloc", []string{"hotpath-alloc"}, analysis.Config{HotPackages: []string{"pos", "neg"}}},
 	{"protoexhaustive", []string{"proto-exhaustive"}, analysis.Config{}},
 	{"ctxselect", []string{"ctx-select"}, analysis.Config{CtxPackages: []string{"pos", "neg"}}},
@@ -146,9 +143,8 @@ func TestRunUnknownCheck(t *testing.T) {
 
 func TestCheckNames(t *testing.T) {
 	want := []string{
-		"falseshare", "ctx-discipline", "err-checked", "goroutine-leak",
-		"lock-discipline", "wg-balance", "hotpath-alloc", "proto-exhaustive",
-		"ctx-select",
+		"falseshare", "ctx-discipline", "err-checked", "hotpath-alloc",
+		"proto-exhaustive", "ctx-select",
 	}
 	got := analysis.CheckNames()
 	if len(got) != len(want) {

@@ -1,3 +1,9 @@
+// Package flow is the call graph under graftlint's whole-program checks:
+// every declared function of the module as a Func, indexed by its
+// *types.Func so a call resolves statically to the body it runs, plus the
+// classifier of calls that never return. hotpath-alloc, proto-exhaustive
+// and ctx-select are built on it. Like the rest of internal/analysis it is
+// stdlib-only.
 package flow
 
 import (
@@ -5,27 +11,13 @@ import (
 	"go/types"
 )
 
-// Func is one analyzable function: a declared function/method or a function
-// literal, paired with the type info of its package.
+// Func is one declared function or method with a body, paired with the
+// type info of its package.
 type Func struct {
 	Info *types.Info
-	Node ast.Node       // *ast.FuncDecl or *ast.FuncLit
-	Body *ast.BlockStmt // non-nil
-	Obj  *types.Func    // declared object; nil for literals
-	Name string         // qualified diagnostic label ("pkg.Recv.Method" or "pkg.func@line")
-
-	cfg *Graph
-}
-
-// CFG returns the function's control-flow graph, built on first use with
-// the call graph's terminating-call classifier.
-func (f *Func) CFG(cg *CallGraph) *Graph {
-	if f.cfg == nil {
-		f.cfg = BuildCFG(f.Body, func(call *ast.CallExpr) bool {
-			return cg.Terminates(f.Info, call)
-		})
-	}
-	return f.cfg
+	Body *ast.BlockStmt
+	Obj  *types.Func
+	Name string // qualified diagnostic label: "pkg.func" or "pkg.Recv.Method"
 }
 
 // CallGraph resolves module-local calls statically: a call whose callee
@@ -40,8 +32,7 @@ type CallGraph struct {
 	funcs []*Func
 }
 
-// NewCallGraph indexes funcs (declared functions; literals may be included
-// but are only reachable through Funcs()).
+// NewCallGraph indexes funcs by their declared objects.
 func NewCallGraph(funcs []*Func) *CallGraph {
 	cg := &CallGraph{byObj: map[*types.Func]*Func{}, funcs: funcs}
 	for _, f := range funcs {
@@ -71,20 +62,6 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// Callee resolves a call to its module-local Func, or nil: the static
-// resolution the flow checks traverse. An immediately invoked function
-// literal resolves to a synthetic Func for the literal.
-func (cg *CallGraph) Callee(info *types.Info, call *ast.CallExpr) *Func {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return &Func{Info: info, Node: lit, Body: lit.Body, Name: "func-literal"}
-	}
-	obj := CalleeObj(info, call)
-	if obj == nil {
-		return nil
-	}
-	return cg.byObj[obj]
 }
 
 // Terminates reports whether a statement-position call never returns:
@@ -136,7 +113,6 @@ func CollectFuncs(pkgName string, info *types.Info, files []*ast.File) []*Func {
 			}
 			out = append(out, &Func{
 				Info: info,
-				Node: fd,
 				Body: fd.Body,
 				Obj:  obj,
 				Name: name,

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -20,10 +19,9 @@ func load(t *testing.T, src string) ([]*Func, *token.FileSet) {
 		t.Fatalf("parse: %v", err)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
@@ -44,514 +42,13 @@ func fn(t *testing.T, funcs []*Func, name string) *Func {
 	return nil
 }
 
-func TestCFGStraightLine(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f() int {
-	x := 1
-	x++
-	return x
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	if len(g.Entry.Succs) != 1 || g.Entry.Succs[0] != g.Exit {
-		t.Fatalf("straight line should flow entry -> exit, got succs %v", g.Entry.Succs)
-	}
-	if len(g.Entry.Nodes) != 3 {
-		t.Fatalf("entry should hold 3 nodes, got %d", len(g.Entry.Nodes))
-	}
-}
-
-func TestCFGIfElse(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(c bool) int {
-	x := 0
-	if c {
-		x = 1
-	} else {
-		x = 2
-	}
-	return x
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	if n := len(g.Entry.Succs); n != 2 {
-		t.Fatalf("if/else should branch 2 ways from entry, got %d", n)
-	}
-	// Both arms merge; exit has one pred (the join).
-	if len(g.Exit.Preds) != 1 {
-		t.Fatalf("exit preds = %d, want 1", len(g.Exit.Preds))
-	}
-}
-
-func TestCFGIfNoElse(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(c bool) {
-	if x := 1; c {
-		_ = x
-	}
-	return
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	if n := len(g.Entry.Succs); n != 2 {
-		t.Fatalf("if without else still branches 2 ways (then, join), got %d", n)
-	}
-}
-
-func TestCFGForLoop(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(n int) int {
-	s := 0
-	for i := 0; i < n; i++ {
-		if i == 3 {
-			continue
-		}
-		if i == 5 {
-			break
-		}
-		s += i
-	}
-	return s
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	var head *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "for.head" {
-			head = b
-		}
-	}
-	if head == nil {
-		t.Fatal("no for.head block")
-	}
-	// head: entered from outside and from post (back edge).
-	if len(head.Preds) != 2 {
-		t.Fatalf("for.head preds = %d, want 2", len(head.Preds))
-	}
-	reach := g.Reachable()
-	if len(reach) == len(g.Blocks) {
-		// break/continue produce joins that are all reachable here; just
-		// assert exit is reachable.
-	}
-	found := false
-	for _, b := range reach {
-		if b == g.Exit {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("exit not reachable")
-	}
-}
-
-func TestCFGInfiniteLoopUnreachableExitPath(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f() {
-	for {
-	}
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	for _, b := range g.Reachable() {
-		if b == g.Exit {
-			t.Fatal("exit must be unreachable past `for {}`")
-		}
-	}
-}
-
-func TestCFGRange(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	var head *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "range.head" {
-			head = b
-		}
-	}
-	if head == nil || len(head.Succs) != 2 {
-		t.Fatalf("range.head should have 2 succs (body, exit)")
-	}
-}
-
-func TestCFGSwitchFallthroughAndDefault(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(x int) int {
-	switch x {
-	case 1:
-		x = 10
-		fallthrough
-	case 2:
-		x = 20
-	default:
-		x = 30
-	}
-	return x
-}
-func g(x int) int {
-	switch {
-	case x > 0:
-		return 1
-	}
-	return 0
-}`)
-	cg := NewCallGraph(funcs)
-	gf := fn(t, funcs, "f").CFG(cg)
-	// With a default present, entry must not edge straight to the join.
-	var join *Block
-	for _, b := range gf.Blocks {
-		if b.Kind == "switch.join" {
-			join = b
-		}
-	}
-	if join == nil {
-		t.Fatal("no switch.join")
-	}
-	for _, s := range gf.Entry.Succs {
-		if s == join {
-			t.Fatal("switch with default must not flow head->join directly")
-		}
-	}
-	// Without a default, the head edges to the join.
-	gg := fn(t, funcs, "g").CFG(cg)
-	var join2 *Block
-	for _, b := range gg.Blocks {
-		if b.Kind == "switch.join" {
-			join2 = b
-		}
-	}
-	ok := false
-	for _, s := range gg.Entry.Succs {
-		if s == join2 {
-			ok = true
-		}
-	}
-	if !ok {
-		t.Fatal("switch without default must flow head->join")
-	}
-}
-
-func TestCFGTypeSwitch(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(v any) int {
-	switch v.(type) {
-	case int:
-		return 1
-	case string:
-		return 2
-	}
-	return 0
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	if len(g.Exit.Preds) < 3 {
-		t.Fatalf("type switch with 2 returning cases + tail return: exit preds = %d, want >= 3", len(g.Exit.Preds))
-	}
-}
-
-func TestCFGSelect(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(a, b chan int) int {
-	select {
-	case x := <-a:
-		return x
-	case b <- 1:
-	}
-	return 0
-}
-func empty() {
-	select {}
-}`)
-	cg := NewCallGraph(funcs)
-	g := fn(t, funcs, "f").CFG(cg)
-	if n := len(g.Entry.Succs); n != 2 {
-		t.Fatalf("select fans out to its 2 comm clauses, got %d succs", n)
-	}
-	ge := fn(t, funcs, "empty").CFG(cg)
-	for _, b := range ge.Reachable() {
-		if b == ge.Exit {
-			t.Fatal("select{} never proceeds; exit must be unreachable")
-		}
-	}
-}
-
-func TestCFGGotoAndLabels(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f(n int) int {
-	i := 0
-loop:
-	if i < n {
-		i++
-		goto loop
-	}
-	return i
-}
-func g(m [][]int) int {
-outer:
-	for _, row := range m {
-		for _, v := range row {
-			if v == 0 {
-				continue outer
-			}
-			if v < 0 {
-				break outer
-			}
-		}
-	}
-	return 0
-}`)
-	cg := NewCallGraph(funcs)
-	gf := fn(t, funcs, "f").CFG(cg)
-	var label *Block
-	for _, b := range gf.Blocks {
-		if b.Kind == "label.loop" {
-			label = b
-		}
-	}
-	if label == nil || len(label.Preds) != 2 {
-		t.Fatalf("label block should have 2 preds (fall-in, goto), got %v", label)
-	}
-	gg := fn(t, funcs, "g").CFG(cg)
-	for _, b := range gg.Reachable() {
-		if b == gg.Exit {
-			return // labeled break reaches function end: fine
-		}
-	}
-	t.Fatal("labeled break should reach exit")
-}
-
-func TestCFGTerminatingCalls(t *testing.T) {
-	funcs, _ := load(t, `package p
-import "os"
-func f(c bool) int {
-	if c {
-		panic("no")
-	}
-	os.Exit(2)
-	return 1
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	// The `return 1` after os.Exit is dead.
-	dead := false
-	for _, b := range g.Blocks {
-		if len(b.Preds) == 0 && b != g.Entry && len(b.Nodes) > 0 {
-			dead = true
-		}
-	}
-	if !dead {
-		t.Fatal("statements after os.Exit should land in an unreachable block")
-	}
-}
-
-func TestCFGDeadCodeAfterReturn(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f() int {
-	return 1
-	x := 2 //nolint
-	return x
-}`)
-	g := fn(t, funcs, "f").CFG(NewCallGraph(funcs))
-	reach := g.Reachable()
-	if len(reach) >= len(g.Blocks) {
-		t.Fatal("dead code after return should be unreachable")
-	}
-}
-
-func TestBitSetOps(t *testing.T) {
-	a := NewBitSet(130)
-	b := NewBitSet(130)
-	a.Set(0)
-	a.Set(64)
-	a.Set(129)
-	b.Set(64)
-	if !a.Has(129) || a.Has(1) {
-		t.Fatal("Set/Has broken")
-	}
-	if a.Empty() || !NewBitSet(130).Empty() {
-		t.Fatal("Empty broken")
-	}
-	c := a.Copy()
-	if !c.Equal(a) || c.Equal(b) {
-		t.Fatal("Copy/Equal broken")
-	}
-	if changed := c.IntersectWith(b); !changed {
-		t.Fatal("IntersectWith should report change")
-	}
-	if got := c.Bits(); len(got) != 1 || got[0] != 64 {
-		t.Fatalf("intersect bits = %v, want [64]", got)
-	}
-	if changed := c.UnionWith(a); !changed || !c.Equal(a) {
-		t.Fatal("UnionWith broken")
-	}
-	c.Clear(64)
-	if c.Has(64) {
-		t.Fatal("Clear broken")
-	}
-	f := NewBitSet(70)
-	f.Fill()
-	if got := len(f.Bits()); got != 70 {
-		t.Fatalf("Fill set %d bits, want 70", got)
-	}
-	if f.Len() != 70 {
-		t.Fatal("Len broken")
-	}
-}
-
-// gkTransfer builds a transfer function from per-node gen/kill maps keyed
-// by statement rendering order — here driven by simple node identity sets.
-func gkTransfer(gen, kill map[ast.Node]int) func(b *Block, in BitSet) BitSet {
-	return func(b *Block, in BitSet) BitSet {
-		for _, n := range b.Nodes {
-			if i, ok := kill[n]; ok {
-				in.Clear(i)
-			}
-			if i, ok := gen[n]; ok {
-				in.Set(i)
-			}
-		}
-		return in
-	}
-}
-
-// lockLikeFixture builds a CFG where bit 0 is "held": gen at calls to
-// lock(), kill at calls to unlock().
-func lockLikeFixture(t *testing.T, src string) (*Graph, func(b *Block, in BitSet) BitSet) {
-	t.Helper()
-	funcs, _ := load(t, src)
-	f := fn(t, funcs, "f")
-	g := f.CFG(NewCallGraph(funcs))
-	gen := map[ast.Node]int{}
-	kill := map[ast.Node]int{}
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			ast.Inspect(n, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := call.Fun.(*ast.Ident); ok {
-					if id.Name == "lock" {
-						gen[n] = 0
-					}
-					if id.Name == "unlock" {
-						kill[n] = 0
-					}
-				}
-				return true
-			})
-		}
-	}
-	return g, gkTransfer(gen, kill)
-}
-
-const lockSrc = `package p
-func lock()   {}
-func unlock() {}
-func f(c bool) {
-	if c {
-		lock()
-	}
-	unlock()
-}`
-
-func TestSolveMayVsMust(t *testing.T) {
-	g, transfer := lockLikeFixture(t, lockSrc)
-	may := (&Problem{Bits: 1, Transfer: transfer}).Solve(g)
-	must := (&Problem{Bits: 1, Must: true, Transfer: transfer}).Solve(g)
-
-	// At the join after the if (the block containing unlock()), MAY-in has
-	// the lock held, MUST-in does not.
-	var join *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "if.join" {
-			join = b
-		}
-	}
-	if join == nil {
-		t.Fatal("no if.join block")
-	}
-	if !may.In[join].Has(0) {
-		t.Fatal("may-analysis should see the lock held on some path at the join")
-	}
-	if must.In[join].Has(0) {
-		t.Fatal("must-analysis should not see the lock held on every path at the join")
-	}
-}
-
-func TestSolveLoopFixpoint(t *testing.T) {
-	g, transfer := lockLikeFixture(t, `package p
-func lock()   {}
-func unlock() {}
-func f(c bool) {
-	for i := 0; i < 3; i++ {
-		lock()
-		unlock()
-	}
-}`)
-	must := (&Problem{Bits: 1, Must: true, Transfer: transfer}).Solve(g)
-	// After the loop, the lock is not held on any path.
-	if out, ok := must.Out[g.Exit]; ok && out.Has(0) {
-		t.Fatal("balanced lock/unlock in a loop must not be held at exit")
-	}
-	var head *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "for.head" {
-			head = b
-		}
-	}
-	if must.In[head].Has(0) {
-		t.Fatal("loop head must converge to not-held (entry path joins back edge)")
-	}
-}
-
-func TestSolveUnbalancedLoop(t *testing.T) {
-	g, transfer := lockLikeFixture(t, `package p
-func lock()   {}
-func unlock() {}
-func f(c bool) {
-	for i := 0; i < 3; i++ {
-		lock()
-	}
-}`)
-	may := (&Problem{Bits: 1, Transfer: transfer}).Solve(g)
-	var head *Block
-	for _, b := range g.Blocks {
-		if b.Kind == "for.head" {
-			head = b
-		}
-	}
-	if !may.In[head].Has(0) {
-		t.Fatal("may-analysis must propagate held around the back edge")
-	}
-}
-
-func TestSolveEntryFact(t *testing.T) {
-	funcs, _ := load(t, `package p
-func f() {}`)
-	f := fn(t, funcs, "f")
-	g := f.CFG(NewCallGraph(funcs))
-	entry := NewBitSet(2)
-	entry.Set(1)
-	sol := (&Problem{
-		Bits:     2,
-		Entry:    entry,
-		Transfer: func(b *Block, in BitSet) BitSet { return in },
-	}).Solve(g)
-	if !sol.In[g.Entry].Has(1) || sol.In[g.Entry].Has(0) {
-		t.Fatal("entry fact not seeded")
-	}
-	if !sol.Out[g.Exit].Has(1) {
-		t.Fatal("identity transfer should carry the entry fact to exit")
-	}
-}
-
 func TestCalleeResolution(t *testing.T) {
 	funcs, _ := load(t, `package p
 import "fmt"
 type T struct{}
 func (T) m() {}
 func helper() {}
-func f() {
+func f(err error) {
 	helper()
 	var t T
 	t.m()
@@ -559,6 +56,9 @@ func f() {
 	g := func() {}
 	g()
 	func() {}()
+	_ = len("x")
+	_ = int64(1)
+	_ = err.Error()
 }`)
 	cg := NewCallGraph(funcs)
 	f := fn(t, funcs, "f")
@@ -569,28 +69,39 @@ func f() {
 		}
 		return true
 	})
-	if len(calls) != 5 {
-		t.Fatalf("expected 5 calls, got %d", len(calls))
+	if len(calls) != 8 {
+		t.Fatalf("expected 8 calls, got %d", len(calls))
 	}
-	if got := cg.Callee(f.Info, calls[0]); got == nil || !strings.HasSuffix(got.Name, ".helper") {
+	resolve := func(c *ast.CallExpr) *Func {
+		if obj := CalleeObj(f.Info, c); obj != nil {
+			return cg.ByObj(obj)
+		}
+		return nil
+	}
+	if got := resolve(calls[0]); got == nil || !strings.HasSuffix(got.Name, ".helper") {
 		t.Fatalf("helper() resolved to %v", got)
 	}
-	if got := cg.Callee(f.Info, calls[1]); got == nil || !strings.HasSuffix(got.Name, "T.m") {
+	if got := resolve(calls[1]); got == nil || !strings.HasSuffix(got.Name, "T.m") {
 		t.Fatalf("t.m() resolved to %v", got)
-	}
-	if got := cg.Callee(f.Info, calls[2]); got != nil {
-		t.Fatalf("fmt.Println should not resolve to a module Func, got %v", got)
 	}
 	if obj := CalleeObj(f.Info, calls[2]); obj == nil || obj.Pkg().Path() != "fmt" {
 		t.Fatalf("CalleeObj(fmt.Println) = %v", obj)
 	}
-	if got := cg.Callee(f.Info, calls[3]); got != nil {
-		t.Fatalf("call through func value should not resolve, got %v", got)
+	if got := resolve(calls[2]); got != nil {
+		t.Fatalf("fmt.Println should not resolve to a module Func, got %v", got)
 	}
-	if got := cg.Callee(f.Info, calls[4]); got == nil || got.Name != "func-literal" {
-		t.Fatalf("immediately invoked literal should resolve to a synthetic Func, got %v", got)
+	// A call through a func value, an immediately invoked literal, a
+	// builtin and a conversion name no *types.Func.
+	for i, what := range map[int]string{3: "g()", 4: "func(){}()", 5: "len", 6: "int64(1)"} {
+		if obj := CalleeObj(f.Info, calls[i]); obj != nil {
+			t.Errorf("CalleeObj(%s) = %v, want nil", what, obj)
+		}
 	}
-	// ByObj round-trip.
+	// error.Error is a method of the universe's error type: it resolves,
+	// but to an object with no package.
+	if obj := CalleeObj(f.Info, calls[7]); obj == nil || obj.Pkg() != nil || cg.ByObj(obj) != nil {
+		t.Fatalf("CalleeObj(err.Error) = %v, want a package-less method outside the module", obj)
+	}
 	h := fn(t, funcs, "helper")
 	if cg.ByObj(h.Obj) != h {
 		t.Fatal("ByObj should return the indexed Func")
@@ -606,70 +117,79 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"testing"
 )
-func f() {
+func calls(t *testing.T, err error, fn func()) {
 	panic("x")
-}
-func g() {
 	os.Exit(1)
-}
-func h() {
-	log.Fatalf("x")
-}
-func i() {
 	runtime.Goexit()
-}
-func j() {
+	log.Fatal("x")
+	log.Fatalf("x")
+	log.Fatalln("x")
+	log.Panic("x")
+	log.Panicf("x")
+	log.Panicln("x")
+	t.Fatal("x")
+	t.Fatalf("x")
+	t.FailNow()
+	t.Skip("x")
+	t.Skipf("x")
+	t.SkipNow()
 	os.Getpid()
+	runtime.Gosched()
+	log.Printf("x")
+	t.Log("x")
+	t.Error("x")
+	print("x")
+	fn()
+	_ = err.Error()
 }`)
+	want := []bool{
+		true, true, true, // panic, os.Exit, runtime.Goexit
+		true, true, true, true, true, true, // log.Fatal*, log.Panic*
+		true, true, true, true, true, true, // testing Fatal*, FailNow, Skip*
+		false, false, false, false, false, // os.Getpid, Gosched, log.Printf, t.Log, t.Error
+		false, false, false, // a builtin other than panic, a func value, error.Error
+	}
 	cg := NewCallGraph(funcs)
-	check := func(name string, want bool) {
-		f := fn(t, funcs, name)
-		var call *ast.CallExpr
-		ast.Inspect(f.Body, func(n ast.Node) bool {
-			if c, ok := n.(*ast.CallExpr); ok && call == nil {
-				call = c
-			}
-			return true
-		})
-		if got := cg.Terminates(f.Info, call); got != want {
-			t.Errorf("%s: Terminates = %v, want %v", name, got, want)
+	f := fn(t, funcs, "calls")
+	var calls []*ast.CallExpr
+	ast.Inspect(f.Body, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok {
+			calls = append(calls, c)
+		}
+		return true
+	})
+	if len(calls) != len(want) {
+		t.Fatalf("found %d calls, want %d", len(calls), len(want))
+	}
+	for i, c := range calls {
+		if got := cg.Terminates(f.Info, c); got != want[i] {
+			t.Errorf("%s: Terminates = %v, want %v", types.ExprString(c.Fun), got, want[i])
 		}
 	}
-	check("f", true)
-	check("g", true)
-	check("h", true)
-	check("i", true)
-	check("j", false)
 }
 
 func TestRecvTypeNames(t *testing.T) {
 	funcs, _ := load(t, `package p
 type G[T any] struct{}
 func (*G[T]) m() {}
+func (G[T]) v() {}
+type M[K comparable, V any] struct{}
+func (*M[K, V]) w() {}
 type S struct{}
-func (s *S) n() {}`)
+func (s *S) n() {}
+func (S) val() {}
+func free() {}`)
 	var names []string
 	for _, f := range funcs {
 		names = append(names, f.Name)
 	}
-	joined := strings.Join(names, " ")
-	if !strings.Contains(joined, "p.G.m") || !strings.Contains(joined, "p.S.n") {
-		t.Fatalf("receiver names wrong: %v", names)
+	want := []string{"p.G.m", "p.G.v", "p.M.w", "p.S.n", "p.S.val", "p.free"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("names = %v, want %v", names, want)
 	}
-}
-
-func ExampleBuildCFG() {
-	fset := token.NewFileSet()
-	f, _ := parser.ParseFile(fset, "x.go", `package p
-func f(c bool) int {
-	if c {
-		return 1
+	if got := recvTypeName(&ast.ArrayType{Elt: ast.NewIdent("S")}); got != "?" {
+		t.Fatalf("recvTypeName(non-receiver shape) = %q, want ?", got)
 	}
-	return 0
-}`, 0)
-	fd := f.Decls[0].(*ast.FuncDecl)
-	g := BuildCFG(fd.Body, nil)
-	fmt.Println(len(g.Exit.Preds) == 2)
-	// Output: true
 }

@@ -1,18 +1,19 @@
 // Package analysis implements graftlint, a repo-specific static-analysis
 // suite for the invariants the matching kernels and the distributed runtime
-// depend on and that neither go vet nor the race detector checks: cache-line
-// padding of per-worker state, context discipline of the resilient entry
-// points, error/panic hygiene, goroutine/lock/WaitGroup flow rules, hot-path
-// allocation, and exhaustive frame dispatch and cancellable channel ops in
-// the distributed runtime. It is built
+// depend on and that neither go vet, the race detector nor the tests check:
+// cache-line padding of per-worker state, context discipline of the
+// resilient entry points, error/panic hygiene, hot-path allocation, and
+// exhaustive frame dispatch and cancellable channel ops in the distributed
+// runtime. Goroutine lifetimes are checked at run time instead, by
+// internal/leaktest in each gated package's TestMain. It is built
 // entirely on the standard library (go/parser, go/ast, go/types, go/token,
 // go/importer) so the lint wall needs nothing the toolchain does not
 // already ship.
 //
 // The unit of analysis is a Program: every package of the module, parsed
-// with comments and fully typechecked. Checks are whole-program — a call
-// made under a lock may block only inside a callee in another package, and
-// lock-discipline follows the module call graph there to see it.
+// with comments and fully typechecked. Checks are whole-program — a
+// goroutine's channel operation may sit in a callee in another package,
+// and ctx-select follows the module call graph there to see it.
 package analysis
 
 import (
@@ -268,11 +269,9 @@ func (ld *loader) check(path string) (*Package, error) {
 	defer func() { ld.stack = ld.stack[:len(ld.stack)-1] }()
 
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(ipath string) (*types.Package, error) {

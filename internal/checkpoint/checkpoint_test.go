@@ -9,8 +9,11 @@ import (
 	"time"
 
 	"graftmatch/internal/gen"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/matching"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // testSnapshot builds a snapshot of a real (partial) matching on a small
 // generated graph, so the mate arrays have genuine structure.

@@ -8,9 +8,12 @@ import (
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/gen"
 	"graftmatch/internal/hk"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/matching"
 	"graftmatch/internal/matchinit"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // fig2Graph reconstructs the worked example of the paper's Fig. 2:
 // six vertices per side (x1..x6 → 0..5), the maximal initial matching

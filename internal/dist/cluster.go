@@ -282,7 +282,7 @@ func NewCoordinator(g *bipartite.Graph, addr string, opts ClusterOptions) (*Coor
 	c.mDeaths = c.rec.Counter("graftmatch_cluster_rank_deaths_total", "workers declared dead by a lost connection, heartbeat silence or abort")
 	c.mRecoveries = c.rec.Counter("graftmatch_cluster_recoveries_total", "epoch rollbacks recovering a dead rank")
 	c.mRecMilli = c.rec.Counter("graftmatch_cluster_recovery_millis_total", "milliseconds spent in rank-death recovery")
-	c.wg.Add(1) //lint:ignore wg-balance acceptLoop's first deferred statement is the matching Done
+	c.wg.Add(1)
 	go c.acceptLoop()
 	return c, nil
 }
@@ -383,12 +383,12 @@ func (c *Coordinator) handshake(raw gonet.Conn) {
 	// The slot stays locked through Welcome + attach so a racing handshake
 	// for the same rank cannot interleave: the write is bounded by the
 	// handshake write deadline, never indefinite.
-	if err := conn.Send(fWelcome, welcome); err != nil { //lint:ignore lock-discipline bounded by HandshakeTimeout; slot state must not change until the Welcome is on the wire
+	if err := conn.Send(fWelcome, welcome); err != nil {
 		s.mu.Unlock()
 		_ = conn.Close()
 		return
 	}
-	conn.SetTimeouts(0, c.opts.HandshakeTimeout) //lint:ignore lock-discipline disarms socket deadlines; setter calls, no blocking I/O
+	conn.SetTimeouts(0, c.opts.HandshakeTimeout)
 	pumped := make(chan struct{})
 	s.conn = conn
 	s.pumped = pumped

@@ -9,9 +9,12 @@ import (
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/gen"
 	"graftmatch/internal/hk"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/matching"
 	"graftmatch/internal/matchinit"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestPartitionCoversAllVertices(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 7, 16, 100} {

@@ -70,7 +70,7 @@ func NewProxy(target string, chaos Chaos, lim Limits) (*Proxy, error) {
 		done:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
-	p.wg.Add(1) //lint:ignore wg-balance acceptLoop's first deferred statement is the matching Done
+	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
 }

@@ -2,6 +2,7 @@ package net
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	gonet "net"
 	"sync"
@@ -34,7 +35,9 @@ type Conn struct {
 	br  *bufio.Reader
 
 	wmu  sync.Mutex
-	wbuf []byte
+	hdr  [headerSize]byte
+	vec  [2][]byte // header and payload of the frame being sent
+	bufs gonet.Buffers
 
 	rbuf []byte
 }
@@ -52,13 +55,19 @@ func (c *Conn) Send(typ byte, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.cfg.WriteTimeout > 0 {
-		if err := c.c.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout)); err != nil { //lint:ignore lock-discipline deadline setter; wmu serializes frame writes by design
+		if err := c.c.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout)); err != nil {
 			return &TransportError{Op: "write", Err: err}
 		}
 	}
-	c.wbuf = appendFrame(c.wbuf[:0], typ, payload)
-	if _, err := c.c.Write(c.wbuf); err != nil { //lint:ignore lock-discipline the serialized frame write itself, bounded by the write deadline
-		return classify("write", err) //lint:ignore lock-discipline error classification on the exit path, no I/O
+	// One vectored write sends the header and the payload as they are,
+	// without copying the payload. The vector lives in the Conn, so a
+	// send allocates nothing. An empty payload writes the header alone.
+	c.hdr[0] = typ
+	binary.BigEndian.PutUint32(c.hdr[1:], uint32(len(payload)))
+	c.vec = [2][]byte{c.hdr[:], payload}
+	c.bufs = c.vec[:1+min(len(payload), 1)]
+	if _, err := c.bufs.WriteTo(c.c); err != nil {
+		return classify("write", err)
 	}
 	return nil
 }

@@ -97,5 +97,6 @@ func (e *PeerDownError) Error() string {
 }
 
 // Transient marks the error retryable at the cluster level: the peer may be
-// respawned and the run recovered from a checkpoint.
+// respawned and the run recovered by epoch rollback, every rank restarting
+// from the last phase-boundary matching.
 func (e *PeerDownError) Transient() bool { return true }

@@ -8,7 +8,11 @@ import (
 	gonet "net"
 	"testing"
 	"time"
+
+	"graftmatch/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // connPair returns two framed conns over a real loopback TCP connection.
 func connPair(t *testing.T, cfg Config) (*Conn, *Conn) {

@@ -75,6 +75,37 @@ func rawJoin(t *testing.T, c *Coordinator, g *bipartite.Graph) (*distnet.Conn, w
 	return conn, w
 }
 
+// refusal dials c, sends hello, and returns the reason of the Abort the
+// coordinator must answer with.
+func refusal(t *testing.T, c *Coordinator, hello helloFrame) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	conn, err := distnet.Dial(ctx, c.Addr(), distnet.Config{
+		ReadTimeout:  2 * time.Second,
+		WriteTimeout: 2 * time.Second,
+	})
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(fHello, encodeHello(hello)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := conn.Recv()
+	if err != nil {
+		t.Fatalf("hello %+v: %v", hello, err)
+	}
+	if typ != fAbort {
+		t.Fatalf("hello %+v: handshake answered with frame type %d, want Abort", hello, typ)
+	}
+	reason, err := decodeAbort(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reason
+}
+
 // TestHandshakeRefusesOtherVersion: a worker built from another protocol
 // version must be refused at the handshake, not attached. A v4 worker answers
 // an opCensus Step without its mates, so attaching one would kill the rank at
@@ -89,35 +120,32 @@ func TestHandshakeRefusesOtherVersion(t *testing.T) {
 	}
 	defer c.Close()
 	for _, v := range []uint16{4, protoVersion + 1} {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		conn, err := distnet.Dial(ctx, c.Addr(), distnet.Config{
-			ReadTimeout:  2 * time.Second,
-			WriteTimeout: 2 * time.Second,
-		})
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		hello := encodeHello(helloFrame{Version: v, Rank: 0, FP: checkpoint.GraphFingerprint(g)})
-		if err := conn.Send(fHello, hello); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := conn.Recv()
-		conn.Close()
-		if err != nil {
-			t.Fatalf("version %d: %v", v, err)
-		}
-		if typ != fAbort {
-			t.Fatalf("version %d: handshake answered with frame type %d, want Abort", v, typ)
-		}
-		reason, err := decodeAbort(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fmt.Sprintf("protocol version %d, want %d", v, protoVersion)
-		if reason != want {
+		reason := refusal(t, c, helloFrame{Version: v, Rank: 0, FP: checkpoint.GraphFingerprint(g)})
+		if want := fmt.Sprintf("protocol version %d, want %d", v, protoVersion); reason != want {
 			t.Fatalf("version %d: refused with %q, want %q", v, reason, want)
 		}
+	}
+}
+
+// TestHandshakeRefusesRankItCannotAssign: a Hello for a rank out of range,
+// or for one a live worker holds, is refused, and the coordinator goes on
+// accepting joins afterwards.
+func TestHandshakeRefusesRankItCannotAssign(t *testing.T) {
+	g := gen.ER(50, 50, 200, 9)
+	opts := testClusterOpts()
+	opts.Ranks = 1
+	c, err := NewCoordinator(g, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fp := checkpoint.GraphFingerprint(g)
+	if got, want := refusal(t, c, helloFrame{Version: protoVersion, Rank: 1, FP: fp}), "rank 1 out of range (K=1)"; got != want {
+		t.Fatalf("refused with %q, want %q", got, want)
+	}
+	rawJoin(t, c, g)
+	if got, want := refusal(t, c, helloFrame{Version: protoVersion, Rank: 0, FP: fp}), "rank already held by a live worker"; got != want {
+		t.Fatalf("refused with %q, want %q", got, want)
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/obs"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 var smallCfg = Config{Scale: Small, Threads: 2, Reps: 1}
 

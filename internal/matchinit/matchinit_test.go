@@ -7,8 +7,11 @@ import (
 
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/gen"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/matching"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // checkMaximal verifies validity plus maximality: no edge joins two
 // unmatched vertices.

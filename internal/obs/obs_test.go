@@ -8,7 +8,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graftmatch/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var rec *Recorder

@@ -4,7 +4,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"graftmatch/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8, 100} {

@@ -7,9 +7,12 @@ import (
 	"graftmatch/internal/bipartite"
 	"graftmatch/internal/gen"
 	"graftmatch/internal/hk"
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/matching"
 	"graftmatch/internal/matchinit"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestDefaults(t *testing.T) {
 	o := Options{Threads: 1}.Defaults()

@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"graftmatch/internal/leaktest"
 	"graftmatch/internal/par"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestFrontierPushAndSlice(t *testing.T) {
 	f := NewFrontier(10)

@@ -18,7 +18,10 @@ import (
 
 	"graftmatch"
 	"graftmatch/internal/core"
+	"graftmatch/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // writeGraph writes a random bipartite edge list ("# nx ny" header) to path.
 // diag additionally adds the (i,i) diagonal, making square patterns
@@ -55,6 +58,15 @@ func newTestServer(t *testing.T, cfg Config, populate func(dir string)) (*Server
 	s, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cfg.Pool == nil {
+		// The server owns its pool, and draining closes it. Cleanups run
+		// last first, so the drain follows ts.Close.
+		t.Cleanup(func() {
+			if err := s.Drain(context.Background()); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -386,25 +398,24 @@ func TestMatchEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestVerifyEndpoint pins the full /verify body of each outcome: a maximum
+// matching, a valid matching one pair short, and an invalid one. The mates
+// come from a Threads 1 solve, so they and every reason text repeat.
 func TestVerifyEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, smallRegistry(t))
-	_, data := postJSON(t, ts.URL+"/match", `{"instance":"small","mates":true}`)
+	_, data := postJSON(t, ts.URL+"/match", `{"instance":"small","mates":true,"threads":1}`)
 	m := decodeMatch(t, data)
 
-	body, _ := json.Marshal(map[string]any{"instance": "small", "mate_x": m.MateX, "mate_y": m.MateY})
-	code, data := postJSON(t, ts.URL+"/verify", string(body))
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, data)
+	// One matched pair removed: valid, but an augmenting path exists.
+	shortX := append([]int32(nil), m.MateX...)
+	shortY := append([]int32(nil), m.MateY...)
+	for x, y := range shortX {
+		if y >= 0 {
+			shortX[x], shortY[y] = -1, -1
+			break
+		}
 	}
-	var v VerifyResponse
-	if err := json.Unmarshal(data, &v); err != nil {
-		t.Fatal(err)
-	}
-	if !v.Valid || !v.Maximum {
-		t.Fatalf("verify = %+v", v)
-	}
-
-	// Corrupt the matching: point two X vertices at the same Y.
+	// Two X vertices pointed at the same Y: invalid.
 	bad := append([]int32(nil), m.MateX...)
 	first := -1
 	for i, y := range bad {
@@ -418,13 +429,26 @@ func TestVerifyEndpoint(t *testing.T) {
 		bad[i] = bad[first]
 		break
 	}
-	body, _ = json.Marshal(map[string]any{"instance": "small", "mate_x": bad, "mate_y": m.MateY})
-	_, data = postJSON(t, ts.URL+"/verify", string(body))
-	if err := json.Unmarshal(data, &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.Valid || v.Reason == "" {
-		t.Fatalf("corrupted verify = %+v, want invalid with reason", v)
+	for _, tc := range []struct {
+		name         string
+		mateX, mateY []int32
+		want         string
+	}{
+		{"maximum", m.MateX, m.MateY,
+			`{"instance":"small","valid":true,"maximum":true}` + "\n"},
+		{"one pair short", shortX, shortY,
+			`{"instance":"small","valid":true,"maximum":false,"reason":"matching: not maximum: an augmenting path exists"}` + "\n"},
+		{"invalid", bad, m.MateY,
+			`{"instance":"small","valid":false,"maximum":false,"reason":"matching: asymmetric mates: mateX[2]=36 but mateY[36]=1"}` + "\n"},
+	} {
+		body, _ := json.Marshal(map[string]any{"instance": "small", "mate_x": tc.mateX, "mate_y": tc.mateY})
+		code, data := postJSON(t, ts.URL+"/verify", string(body))
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, code, data)
+		}
+		if string(data) != tc.want {
+			t.Errorf("%s: body\n%s\nwant\n%s", tc.name, data, tc.want)
+		}
 	}
 }
 

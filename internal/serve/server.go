@@ -670,15 +670,16 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, req *Reque
 		return
 	}
 	resp := &VerifyResponse{Instance: ins.Name}
-	if err := graftmatch.VerifyMatching(ins.Graph, req.MateX, req.MateY); err != nil {
-		resp.Reason = err.Error()
+	// VerifyMaximum validates the pair before its certificate, so only a
+	// failure needs VerifyMatching, to tell an invalid pair from a valid
+	// one that is not maximum.
+	if err := graftmatch.VerifyMaximum(ins.Graph, req.MateX, req.MateY); err == nil {
+		resp.Valid, resp.Maximum = true, true
+	} else if verr := graftmatch.VerifyMatching(ins.Graph, req.MateX, req.MateY); verr != nil {
+		resp.Reason = verr.Error()
 	} else {
 		resp.Valid = true
-		if err := graftmatch.VerifyMaximum(ins.Graph, req.MateX, req.MateY); err != nil {
-			resp.Reason = err.Error()
-		} else {
-			resp.Maximum = true
-		}
+		resp.Reason = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
