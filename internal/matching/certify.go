@@ -1,10 +1,15 @@
 package matching
 
 import (
+	"errors"
 	"fmt"
 
 	"graftmatch/internal/bipartite"
 )
+
+// ErrNotMaximum is VerifyMaximum's answer for a valid matching with an
+// augmenting path.
+var ErrNotMaximum = errors.New("matching: not maximum: an augmenting path exists")
 
 // VerifyMaximum proves that a valid matching m of g is of maximum
 // cardinality. It runs the alternating-reachability BFS from all unmatched X
@@ -18,7 +23,7 @@ func VerifyMaximum(g *bipartite.Graph, m *Matching) error {
 	}
 	reachedX, reachedY, foundAug := AlternatingReach(g, m)
 	if foundAug {
-		return fmt.Errorf("matching: not maximum: an augmenting path exists")
+		return ErrNotMaximum
 	}
 	// König: cover = (X not reached) ∪ (Y reached).
 	var cover int64

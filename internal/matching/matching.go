@@ -98,44 +98,78 @@ func (m *Matching) UnmatchedX(dst []int32) []int32 {
 // malformed input (nil graph or matching, mismatched mate-array lengths) as
 // a descriptive error rather than panicking.
 func (m *Matching) Verify(g *bipartite.Graph) error {
+	_, err := m.VerifyCardinality(g)
+	return err
+}
+
+// VerifyCardinality is Verify that also returns |M|. It reads X's adjacency
+// in order, finding each matched pair in its X vertex's sorted neighbor
+// list, and checks the Y side by a count: every matched x is its mate's mate,
+// so as many matched Y as X leaves no Y to check one by one.
+func (m *Matching) VerifyCardinality(g *bipartite.Graph) (int64, error) {
 	if m == nil {
-		return fmt.Errorf("matching: nil matching")
+		return 0, fmt.Errorf("matching: nil matching")
 	}
 	if g == nil {
-		return fmt.Errorf("matching: nil graph")
+		return 0, fmt.Errorf("matching: nil graph")
 	}
-	if int32(len(m.MateX)) != g.NX() || int32(len(m.MateY)) != g.NY() {
-		return fmt.Errorf("matching: mate array lengths (%d,%d) do not match graph dimensions (%d,%d); were the mates computed on a different graph?",
-			len(m.MateX), len(m.MateY), g.NX(), g.NY())
+	nx, ny := g.NX(), g.NY()
+	if int32(len(m.MateX)) != nx || int32(len(m.MateY)) != ny {
+		return 0, fmt.Errorf("matching: mate array lengths (%d,%d) do not match graph dimensions (%d,%d); were the mates computed on a different graph?",
+			len(m.MateX), len(m.MateY), nx, ny)
 	}
-	for x := int32(0); x < g.NX(); x++ {
-		y := m.MateX[x]
+	mateX, mateY := m.MateX, m.MateY
+	xptr, xnbr := g.XPtr(), g.XNbr()
+	var card int64
+	for x, y := range mateX {
 		if y == None {
 			continue
 		}
-		if y < 0 || y >= g.NY() {
-			return fmt.Errorf("matching: mateX[%d]=%d out of range", x, y)
+		if y < 0 || y >= ny {
+			return 0, fmt.Errorf("matching: mateX[%d]=%d out of range", x, y)
 		}
-		if m.MateY[y] != x {
-			return fmt.Errorf("matching: asymmetric mates: mateX[%d]=%d but mateY[%d]=%d", x, y, y, m.MateY[y])
+		if mateY[y] != int32(x) {
+			return 0, fmt.Errorf("matching: asymmetric mates: mateX[%d]=%d but mateY[%d]=%d", x, y, y, mateY[y])
 		}
-		if !g.HasEdge(x, y) {
-			return fmt.Errorf("matching: matched pair (%d,%d) is not an edge", x, y)
+		if !sortedHas(xnbr[xptr[x]:xptr[x+1]], y) {
+			return 0, fmt.Errorf("matching: matched pair (%d,%d) is not an edge", x, y)
+		}
+		card++
+	}
+	var matchedY int64
+	for _, x := range mateY {
+		if x != None {
+			matchedY++
 		}
 	}
-	for y := int32(0); y < g.NY(); y++ {
-		x := m.MateY[y]
-		if x == None {
-			continue
-		}
-		if x < 0 || x >= g.NX() {
-			return fmt.Errorf("matching: mateY[%d]=%d out of range", y, x)
-		}
-		if m.MateX[x] != y {
-			return fmt.Errorf("matching: asymmetric mates: mateY[%d]=%d but mateX[%d]=%d", y, x, x, m.MateX[x])
+	if matchedY == card {
+		return card, nil
+	}
+	// Some y has a mate that does not have it back; name the first.
+	for y, x := range mateY {
+		switch {
+		case x == None:
+		case x < 0 || x >= nx:
+			return 0, fmt.Errorf("matching: mateY[%d]=%d out of range", y, x)
+		case mateX[x] != int32(y):
+			return 0, fmt.Errorf("matching: asymmetric mates: mateY[%d]=%d but mateX[%d]=%d", y, x, x, mateX[x])
 		}
 	}
-	return nil
+	return 0, fmt.Errorf("matching: asymmetric mates: %d Y vertices have a mate, %d X vertices", matchedY, card)
+}
+
+// sortedHas reports whether the sorted list nbr holds y, by binary search.
+func sortedHas(nbr []int32, y int32) bool {
+	lo, hi := 0, len(nbr)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if nbr[h] < y {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo < len(nbr) && nbr[lo] == y
 }
 
 // Augment flips the matched status of every edge along the alternating path

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -334,6 +335,77 @@ func TestCertificateProperty(t *testing.T) {
 		return VerifyMaximum(g, m) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pairwiseVerify is Verify as a check of every vertex on both sides, each
+// matched pair looked up with HasEdge: the reference VerifyCardinality's
+// one-pass form must agree with, error text included.
+func pairwiseVerify(g *bipartite.Graph, m *Matching) error {
+	for x := int32(0); x < g.NX(); x++ {
+		y := m.MateX[x]
+		switch {
+		case y == None:
+		case y < 0 || y >= g.NY():
+			return fmt.Errorf("matching: mateX[%d]=%d out of range", x, y)
+		case m.MateY[y] != x:
+			return fmt.Errorf("matching: asymmetric mates: mateX[%d]=%d but mateY[%d]=%d", x, y, y, m.MateY[y])
+		case !g.HasEdge(x, y):
+			return fmt.Errorf("matching: matched pair (%d,%d) is not an edge", x, y)
+		}
+	}
+	for y := int32(0); y < g.NY(); y++ {
+		x := m.MateY[y]
+		switch {
+		case x == None:
+		case x < 0 || x >= g.NX():
+			return fmt.Errorf("matching: mateY[%d]=%d out of range", y, x)
+		case m.MateX[x] != y:
+			return fmt.Errorf("matching: asymmetric mates: mateY[%d]=%d but mateX[%d]=%d", y, x, x, m.MateX[x])
+		}
+	}
+	return nil
+}
+
+// TestVerifyCardinalityMatchesPairwise: on random graphs and mate arrays, a
+// maximum matching with a few entries overwritten by arbitrary values,
+// VerifyCardinality fails exactly when pairwiseVerify does, with its error,
+// and otherwise counts |M|. Empty graphs, the zero Graph included, pass
+// with 0.
+func TestVerifyCardinalityMatchesPairwise(t *testing.T) {
+	for _, g := range []*bipartite.Graph{new(bipartite.Graph), bipartite.MustFromEdges(0, 0, nil), bipartite.MustFromEdges(2, 3, nil)} {
+		m := New(g.NX(), g.NY())
+		if card, err := m.VerifyCardinality(g); card != 0 || err != nil {
+			t.Fatalf("%v: (%d, %v), want (0, nil)", g, card, err)
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nx := int32(rng.Intn(12) + 1)
+		ny := int32(rng.Intn(12) + 1)
+		b := bipartite.NewBuilder(nx, ny)
+		for i := 0; i < 40; i++ {
+			_ = b.AddEdge(int32(rng.Intn(int(nx))), int32(rng.Intn(int(ny))))
+		}
+		g := b.Build()
+		m := maximumByAugmentation(g)
+		for k := rng.Intn(3); k > 0; k-- {
+			v := int32(rng.Intn(int(nx+ny)+2)) - 2 // None, -2 and out of range too
+			if rng.Intn(2) == 0 {
+				m.MateX[rng.Intn(int(nx))] = v
+			} else {
+				m.MateY[rng.Intn(int(ny))] = v
+			}
+		}
+		card, err := m.VerifyCardinality(g)
+		want := pairwiseVerify(g, m)
+		if want != nil {
+			return err != nil && err.Error() == want.Error() && card == 0
+		}
+		return err == nil && card == m.Cardinality()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,6 +11,8 @@ import (
 // maxCachedResults bounds the completed-result cache. The registry is fixed,
 // but seeds and algorithm choices multiply keys, so eviction is needed;
 // random eviction (map order) is good enough for a bounded memory guarantee.
+// An entry holds its mate arrays and, once a hit has asked for mates, their
+// encoded form too (cachedResult.mates).
 const maxCachedResults = 256
 
 // cacheKey identifies one deterministic computation: the graph content (by
@@ -25,12 +27,30 @@ type cacheKey struct {
 	seed int64
 }
 
+// cachedResult is one certified answer in the result cache. The result is
+// immutable once cached; tail is built once, on the first hit with mates.
+type cachedResult struct {
+	res *graftmatch.Result
+
+	tailOnce sync.Once
+	tail     []byte
+}
+
+// mates returns the answer's mate arrays as encodeMatch writes them, the
+// appendMates bytes. The first call encodes them, while concurrent first
+// callers wait for it, and every later call returns the same stored bytes,
+// which no caller may modify.
+func (c *cachedResult) mates() []byte {
+	c.tailOnce.Do(func() { c.tail = appendMates(nil, c.res.MateX, c.res.MateY) })
+	return c.tail
+}
+
 // flight is a single-flight cell: the leader computes and closes done; any
 // follower that arrives while it is open waits (bounded by its own deadline)
 // instead of duplicating the work.
 type flight struct {
 	done chan struct{}
-	res  *graftmatch.Result // non-nil after done only for a complete result
+	res  *cachedResult // non-nil after done only for a complete result
 }
 
 // LastGood is the best matching any run has reached for one instance: the
@@ -45,29 +65,36 @@ type LastGood struct {
 }
 
 // resultCache combines the complete-result cache, the single-flight table,
-// and the per-instance last-good floor. One mutex guards the maps; waiting
-// happens on per-flight channels, never under the lock.
+// the per-instance last-good floor and the proven maximum cardinalities. One
+// mutex guards the maps; waiting happens on per-flight channels, never under
+// the lock.
 type resultCache struct {
 	mu       sync.Mutex
-	results  map[cacheKey]*graftmatch.Result
+	results  map[cacheKey]*cachedResult
 	inflight map[cacheKey]*flight
 	lastGood map[string]*LastGood
+
+	// maxCard holds ν, the maximum cardinality, of every graph a proof has
+	// covered, by fingerprint. Only registry graphs reach it, so it is
+	// bounded by the registry.
+	maxCard map[checkpoint.Fingerprint]int64
 }
 
 func newResultCache() *resultCache {
 	return &resultCache{
-		results:  make(map[cacheKey]*graftmatch.Result),
+		results:  make(map[cacheKey]*cachedResult),
 		inflight: make(map[cacheKey]*flight),
 		lastGood: make(map[string]*LastGood),
+		maxCard:  make(map[checkpoint.Fingerprint]int64),
 	}
 }
 
 // begin is the single-flight entry. It returns exactly one of:
-//   - res non-nil: a complete cached result (leader false, fl nil);
+//   - hit non-nil: a complete cached result (leader false, fl nil);
 //   - leader true: the caller must compute and then call finish(key, fl, …);
 //   - fl non-nil, leader false: another request is computing this key; wait
 //     on fl.done with your own deadline and read fl.res after it closes.
-func (c *resultCache) begin(key cacheKey) (res *graftmatch.Result, fl *flight, leader bool) {
+func (c *resultCache) begin(key cacheKey) (hit *cachedResult, fl *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if r, ok := c.results[key]; ok {
@@ -82,8 +109,9 @@ func (c *resultCache) begin(key cacheKey) (res *graftmatch.Result, fl *flight, l
 }
 
 // finish publishes the leader's outcome: caches res when it is a complete
-// matching, wakes every follower, and clears the flight. Incomplete or
-// failed runs are not cached — the next request should try again.
+// matching, which the server has certified, wakes every follower, and clears
+// the flight. Incomplete or failed runs are not cached — the next request
+// should try again.
 func (c *resultCache) finish(key cacheKey, f *flight, res *graftmatch.Result) {
 	c.mu.Lock()
 	if res != nil && res.Complete {
@@ -93,8 +121,8 @@ func (c *resultCache) finish(key cacheKey, f *flight, res *graftmatch.Result) {
 				break
 			}
 		}
-		c.results[key] = res
-		f.res = res
+		f.res = &cachedResult{res: res}
+		c.results[key] = f.res
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
@@ -144,4 +172,21 @@ func (c *resultCache) getLastGood(instance string) (*LastGood, bool) {
 	defer c.mu.Unlock()
 	lg, ok := c.lastGood[instance]
 	return lg, ok
+}
+
+// noteMaximum records ν, the maximum cardinality of the graph with
+// fingerprint fp, which a proof has just established.
+func (c *resultCache) noteMaximum(fp checkpoint.Fingerprint, nu int64) {
+	c.mu.Lock()
+	c.maxCard[fp] = nu
+	c.mu.Unlock()
+}
+
+// maximum returns ν for the graph with fingerprint fp, if a proof has
+// established it.
+func (c *resultCache) maximum(fp checkpoint.Fingerprint) (int64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	nu, ok := c.maxCard[fp]
+	return nu, ok
 }

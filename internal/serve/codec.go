@@ -207,41 +207,85 @@ func (s *scanner) int32s(maxVector int) ([]int32, bool) {
 	v := make([]int32, n)
 	b, i := s.b, s.i
 	for k := range v {
-		x, j, ok := parseInt(b, skipWS(b, i), 32)
-		if !ok {
-			return nil, false
-		}
-		v[k] = int32(x)
 		sep := byte(',')
 		if k == n-1 {
 			sep = ']'
 		}
-		if i = skipWS(b, j); i == len(b) || b[i] != sep {
+		x, j, ok := arrayInt32(b, i)
+		if !ok || j == len(b) || b[j] != sep {
 			return nil, false
 		}
-		i++
+		v[k] = x
+		i = j + 1
 	}
 	s.i = i
 	return v, true
 }
 
+// arrayInt32 reads an array entry at b[i:], an integer that fits in an int32
+// by parseInt's rules with JSON whitespace either side, and returns it with
+// the index past the whitespace after it. It is parseInt with its own digit
+// loop, and it skips whitespace only where the next byte can be some.
+func arrayInt32(b []byte, i int) (int32, int, bool) {
+	if i < len(b) && b[i] <= ' ' {
+		i = skipWS(b, i)
+	}
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	var u uint64
+	for ; i < len(b); i++ {
+		d := b[i] - '0'
+		if d > 9 {
+			break
+		}
+		u = u*10 + uint64(d)
+	}
+	// u is exact up to ten digits, and eleven overflow an int32 anyway.
+	if n := i - start; n == 0 || n > 10 || n > 1 && b[start] == '0' || u > 1<<31 || !neg && u == 1<<31 {
+		return 0, i, false
+	}
+	if i < len(b) && b[i] <= ' ' {
+		i = skipWS(b, i)
+	}
+	if neg {
+		return int32(-int64(u)), i, true
+	}
+	return int32(u), i, true
+}
+
 // encodeMatch appends resp to buf byte for byte as json.NewEncoder encodes
 // it, newline included: encoding/json writes every field but the mate
-// arrays, and the arrays, its last two fields, follow with strconv. Empty
-// arrays are left out, as their omitempty tags say.
-func encodeMatch(buf *bytes.Buffer, resp *MatchResponse) error {
+// arrays, and the arrays, its last two fields, follow as appendMates writes
+// them. mates, when non-nil, is that appendMates output for resp's arrays,
+// stored by a cached answer, and is copied instead.
+func encodeMatch(buf *bytes.Buffer, resp *MatchResponse, mates []byte) error {
 	head := *resp
 	head.MateX, head.MateY = nil, nil
 	if err := json.NewEncoder(buf).Encode(&head); err != nil {
 		return err
 	}
 	buf.Truncate(buf.Len() - len("}\n"))
-	b := buf.AvailableBuffer()
-	b = appendInt32s(b, `,"mate_x":[`, resp.MateX)
-	b = appendInt32s(b, `,"mate_y":[`, resp.MateY)
-	b = append(b, "}\n"...)
-	_, _ = buf.Write(b) // a bytes.Buffer write cannot fail
+	// A bytes.Buffer write cannot fail.
+	if mates != nil {
+		_, _ = buf.Write(mates)
+		_ = buf.WriteByte('\n')
+		return nil
+	}
+	b := appendMates(buf.AvailableBuffer(), resp.MateX, resp.MateY)
+	_, _ = buf.Write(append(b, '\n'))
 	return nil
+}
+
+// appendMates appends the end of a /match body after its other fields:
+// `,"mate_x":[…],"mate_y":[…]}`, an empty array left out, as its omitempty
+// tag says.
+func appendMates(b []byte, mateX, mateY []int32) []byte {
+	b = appendInt32s(b, `,"mate_x":[`, mateX)
+	b = appendInt32s(b, `,"mate_y":[`, mateY)
+	return append(b, '}')
 }
 
 func appendInt32s(b []byte, key string, v []int32) []byte {

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
+	"graftmatch/internal/core"
 	"graftmatch/internal/gen"
 	"graftmatch/internal/hk"
 	"graftmatch/internal/matching"
@@ -27,6 +30,9 @@ func TestDecodeCanonicalTakes(t *testing.T) {
 		{`{"instance":"g","algorithm":"pf","class":"batch","threads":2,"seed":-7,"deadline_ms":250}`, true},
 		{`{"instance":"g","mate_x":[0,-1,2147483647,-2147483648],"mate_y":[]}`, true},
 		{`{"instance":"g","threads":-0,"mate_x":[-0]}`, true},
+		{`{"instance":"g","mate_x":[-1,-10,-1 , -1],"mate_y":[-1]}`, true},
+		{`{"instance":"g","mate_x":[-1,-01]}`, false},
+		{`{"instance":"g","mate_x":[-1-1]}`, false},
 		{"\t{ \"instance\" :\n\"g\" ,\r\"mate_x\" : [ 1 , -1 ] }\n", true},
 		{`{"instance":"a","instance":"b"}`, true},
 		{`{}`, true},
@@ -55,7 +61,9 @@ func TestDecodeCanonicalTakes(t *testing.T) {
 
 // TestMatchBodyIsEncoderOutput holds the /match encoder to json.NewEncoder's
 // bytes: for each answer shape the body equals the standard encoder's
-// output, newline included, and Content-Length is the body's length.
+// output, newline included, whether the mates are encoded on the spot or
+// copied from a cached answer's stored appendMates bytes, and Content-Length
+// is the body's length.
 func TestMatchBodyIsEncoderOutput(t *testing.T) {
 	mates := []int32{3, -1, 0, 2147483647, -2147483648, 1}
 	for name, resp := range map[string]*MatchResponse{
@@ -86,32 +94,42 @@ func TestMatchBodyIsEncoderOutput(t *testing.T) {
 		if err := json.NewEncoder(&want).Encode(resp); err != nil {
 			t.Fatal(err)
 		}
-		rec := httptest.NewRecorder()
-		writeMatch(rec, resp)
-		got := rec.Body.Bytes()
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s:\n got %s\nwant %s", name, got, want.Bytes())
-		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(got)) {
-			t.Errorf("%s: Content-Length %q for a %d-byte body", name, cl, len(got))
-		}
-		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
-			t.Errorf("%s: status %d, Content-Type %q", name, rec.Code, rec.Header().Get("Content-Type"))
+		for _, stored := range []bool{false, true} {
+			var mates []byte
+			if stored {
+				mates = appendMates(nil, resp.MateX, resp.MateY)
+			}
+			rec := httptest.NewRecorder()
+			writeMatch(rec, resp, mates)
+			got := rec.Body.Bytes()
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s (stored mates %v):\n got %s\nwant %s", name, stored, got, want.Bytes())
+			}
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+				t.Errorf("%s: Content-Length %q for a %d-byte body", name, cl, len(got))
+			}
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+				t.Errorf("%s: status %d, Content-Type %q", name, rec.Code, rec.Header().Get("Content-Type"))
+			}
 		}
 	}
 }
 
 // TestMatchEndpointBodies checks real /match answers, computed and cached,
 // with and without mates, over HTTP: each body re-encodes byte for byte
-// through json.NewEncoder and arrives with its Content-Length.
+// through json.NewEncoder and arrives with its Content-Length. The second
+// request is the first hit with mates, which encodes and stores them; the
+// third copies the stored bytes.
 func TestMatchEndpointBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, smallRegistry(t))
-	for _, body := range []string{
-		`{"instance":"small","mates":true}`,
-		`{"instance":"small","mates":true}`,
-		`{"instance":"small"}`,
-		`{"instance":"square","mates":true,"algorithm":"pf","no_cache":true}`,
+	for _, c := range []struct{ body, source string }{
+		{`{"instance":"small","mates":true}`, "computed"},
+		{`{"instance":"small","mates":true}`, "cache"},
+		{`{"instance":"small","mates":true}`, "cache"},
+		{`{"instance":"small"}`, "cache"},
+		{`{"instance":"square","mates":true,"algorithm":"pf","no_cache":true}`, "computed"},
 	} {
+		body := c.body
 		resp, err := http.Post(ts.URL+"/match", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +143,12 @@ func TestMatchEndpointBodies(t *testing.T) {
 		if resp.ContentLength != int64(data.Len()) {
 			t.Errorf("%s: Content-Length %d for a %d-byte body", body, resp.ContentLength, data.Len())
 		}
+		m := decodeMatch(t, data.Bytes())
+		if m.Source != c.source || strings.Contains(body, "mates") != (len(m.MateX) > 0) {
+			t.Errorf("%s: source %q with %d mates, want source %q", body, m.Source, len(m.MateX), c.source)
+		}
 		var want bytes.Buffer
-		if err := json.NewEncoder(&want).Encode(decodeMatch(t, data.Bytes())); err != nil {
+		if err := json.NewEncoder(&want).Encode(m); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(data.Bytes(), want.Bytes()) {
@@ -135,10 +157,16 @@ func TestMatchEndpointBodies(t *testing.T) {
 	}
 }
 
-// BenchmarkServeCodec times the two codec paths of matchd's large bodies on
-// the perfbench matchd shapes: decoding a /verify body of 2 × 8,192 mates,
-// and encoding a cache hit with mates into a reused buffer. Both allocate
-// the same per op in every run, so the CI counters job gates allocs/op.
+// BenchmarkServeCodec times matchd's per-request work on its large bodies,
+// on the perfbench matchd shapes: decoding a /verify body of 2 × 8,192 mates;
+// encoding an answer with mates into a reused buffer, with strconv as a
+// computed answer and a cache entry's first hit with mates do
+// (encode-hit-mates), and from the stored bytes every later hit copies
+// (encode-hit-stored-mates); and validating and counting an MS-BFS-Graft
+// answer, what certify runs on a computed answer once its graph's ν is
+// known (certify).
+// Each row allocates the same per op in every run, so the CI counters job
+// gates allocs/op.
 func BenchmarkServeCodec(b *testing.B) {
 	g := gen.WebLike(13, 6, 0.30, 1)
 	m := matching.New(g.NX(), g.NY())
@@ -157,22 +185,43 @@ func BenchmarkServeCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("encode-hit-mates", func(b *testing.B) {
-		resp := &MatchResponse{
-			Instance: "weblike-6-0", Algorithm: "msbfsgraft", Cardinality: m.Cardinality(),
-			Complete: true, Source: "cache", InitialCardinality: m.Cardinality() - 100,
-			Phases: 12, RuntimeMS: 0.287, Engine: "MS-BFS-Graft", MateX: m.MateX, MateY: m.MateY,
-		}
-		var buf bytes.Buffer
-		if err := encodeMatch(&buf, resp); err != nil {
+	resp := &MatchResponse{
+		Instance: "weblike-6-0", Algorithm: "msbfsgraft", Cardinality: m.Cardinality(),
+		Complete: true, Source: "cache", InitialCardinality: m.Cardinality() - 100,
+		Phases: 12, RuntimeMS: 0.287, Engine: "MS-BFS-Graft", MateX: m.MateX, MateY: m.MateY,
+	}
+	for _, row := range []struct {
+		name  string
+		mates []byte
+	}{
+		{"encode-hit-mates", nil},
+		{"encode-hit-stored-mates", appendMates(nil, m.MateX, m.MateY)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := encodeMatch(&buf, resp, row.mates); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := encodeMatch(&buf, resp, row.mates); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("certify", func(b *testing.B) {
+		mg := matching.New(g.NX(), g.NY())
+		if _, err := core.RunCtx(context.Background(), g, mg, core.FullOptions(1)); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(buf.Len()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := encodeMatch(&buf, resp); err != nil {
+			if _, err := mg.VerifyCardinality(g); err != nil {
 				b.Fatal(err)
 			}
 		}

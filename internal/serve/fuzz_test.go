@@ -77,6 +77,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"instance":"g","mate_x":[1E3,-]}`,
 		// Integers at and past their field's limits.
 		`{"instance":"g","mate_x":[2147483647,-2147483648]}`,
+		// Runs of -1, most of a mate array at a low matching number, beside
+		// other negatives and a missing separator.
+		`{"instance":"g","mate_x":[-1,-1,-12,-1 ,-1],"mate_y":[-1]}`,
+		`{"instance":"g","mate_x":[-1,-1-1,-1]}`,
 		`{"instance":"g","mate_x":[2147483648]}`,
 		`{"instance":"g","mate_y":[-2147483649]}`,
 		`{"instance":"g","threads":2147483648}`,

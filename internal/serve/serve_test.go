@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,7 +301,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	done := make(chan *graftmatch.Result, 1)
 	go func() {
 		<-fl2.done
-		done <- fl2.res
+		done <- fl2.res.res
 	}()
 
 	want := &graftmatch.Result{Cardinality: 7, Complete: true}
@@ -310,7 +311,7 @@ func TestSingleFlightCollapse(t *testing.T) {
 	}
 	// Completed result is now cached.
 	res3, _, leader3 := c.begin(key)
-	if res3 != want || leader3 {
+	if res3 == nil || res3.res != want || leader3 {
 		t.Fatalf("third begin: res=%v leader=%v", res3, leader3)
 	}
 }
@@ -400,10 +401,13 @@ func TestMatchEndpointErrors(t *testing.T) {
 
 // TestVerifyEndpoint pins the full /verify body of each outcome: a maximum
 // matching, a valid matching one pair short, and an invalid one. The mates
-// come from a Threads 1 solve, so they and every reason text repeat.
+// come from a Threads 1 solve on another server, so they and every reason
+// text repeat. Each body is pinned twice on a fresh server: before ν is
+// known, when VerifyMaximum searches (and the maximum pair, checked last,
+// gives ν), and after, when a valid pair is only compared with ν.
 func TestVerifyEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, smallRegistry(t))
-	_, data := postJSON(t, ts.URL+"/match", `{"instance":"small","mates":true,"threads":1}`)
+	_, solver := newTestServer(t, Config{}, smallRegistry(t))
+	_, data := postJSON(t, solver.URL+"/match", `{"instance":"small","mates":true,"threads":1}`)
 	m := decodeMatch(t, data)
 
 	// One matched pair removed: valid, but an augmenting path exists.
@@ -429,25 +433,153 @@ func TestVerifyEndpoint(t *testing.T) {
 		bad[i] = bad[first]
 		break
 	}
-	for _, tc := range []struct {
-		name         string
-		mateX, mateY []int32
-		want         string
-	}{
-		{"maximum", m.MateX, m.MateY,
-			`{"instance":"small","valid":true,"maximum":true}` + "\n"},
-		{"one pair short", shortX, shortY,
-			`{"instance":"small","valid":true,"maximum":false,"reason":"matching: not maximum: an augmenting path exists"}` + "\n"},
-		{"invalid", bad, m.MateY,
-			`{"instance":"small","valid":false,"maximum":false,"reason":"matching: asymmetric mates: mateX[2]=36 but mateY[36]=1"}` + "\n"},
-	} {
-		body, _ := json.Marshal(map[string]any{"instance": "small", "mate_x": tc.mateX, "mate_y": tc.mateY})
-		code, data := postJSON(t, ts.URL+"/verify", string(body))
-		if code != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", tc.name, code, data)
+	s, ts := newTestServer(t, Config{}, smallRegistry(t))
+	ins, _ := s.reg.Get("small")
+	for _, known := range []bool{false, true} {
+		for _, tc := range []struct {
+			name         string
+			mateX, mateY []int32
+			want         string
+		}{
+			{"invalid", bad, m.MateY,
+				`{"instance":"small","valid":false,"maximum":false,"reason":"matching: asymmetric mates: mateX[2]=36 but mateY[36]=1"}` + "\n"},
+			{"one pair short", shortX, shortY,
+				`{"instance":"small","valid":true,"maximum":false,"reason":"matching: not maximum: an augmenting path exists"}` + "\n"},
+			{"maximum", m.MateX, m.MateY,
+				`{"instance":"small","valid":true,"maximum":true}` + "\n"},
+		} {
+			if nu, ok := s.cache.maximum(ins.Fingerprint); ok != known || ok && nu != m.Cardinality {
+				t.Fatalf("%s: ν %d known %v, want known %v", tc.name, nu, ok, known)
+			}
+			body, _ := json.Marshal(map[string]any{"instance": "small", "mate_x": tc.mateX, "mate_y": tc.mateY})
+			code, data := postJSON(t, ts.URL+"/verify", string(body))
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, code, data)
+			}
+			if string(data) != tc.want {
+				t.Errorf("%s (ν known %v): body\n%s\nwant\n%s", tc.name, known, data, tc.want)
+			}
 		}
-		if string(data) != tc.want {
-			t.Errorf("%s: body\n%s\nwant\n%s", tc.name, data, tc.want)
+	}
+}
+
+// TestUncheckedAnswerIsNeverKept injects, through the compute seam, answers
+// one augmenting path short of maximum but marked Complete, from two engines
+// (msbfsgraft and pf). Such an answer must never be cached, never become the
+// floor, never give ν, and never be served as complete. Once the instance
+// has a real floor and ν is known, a short answer, an invalid one of ν
+// pairs, and one whose Cardinality miscounts its mates are served from that
+// floor.
+func TestUncheckedAnswerIsNeverKept(t *testing.T) {
+	s, ts := newTestServer(t, Config{}, smallRegistry(t))
+	ins, _ := s.reg.Get("small")
+	const (
+		honest     = iota
+		short      // one matched pair dropped
+		broken     // ν pairs, one of them asymmetric
+		miscounted // honest mates, Cardinality one short
+	)
+	var mode atomic.Int32
+	mode.Store(short)
+	s.compute = func(ctx context.Context, g *graftmatch.Graph, opts graftmatch.Options) (*graftmatch.Result, error) {
+		res, err := graftmatch.MatchContext(ctx, g, opts)
+		if err != nil || mode.Load() == honest {
+			return res, err
+		}
+		if mode.Load() == miscounted {
+			res.Cardinality--
+			return res, nil
+		}
+		first := -1
+		for x, y := range res.MateX {
+			switch {
+			case y == graftmatch.Unmatched:
+			case mode.Load() == short:
+				res.MateX[x], res.MateY[y] = graftmatch.Unmatched, graftmatch.Unmatched
+				res.Cardinality--
+				return res, nil
+			case first < 0:
+				first = x
+			default:
+				res.MateX[x] = res.MateX[first]
+				return res, nil
+			}
+		}
+		return res, nil
+	}
+	for _, alg := range []string{"msbfsgraft", "pf"} {
+		body := fmt.Sprintf(`{"instance":"small","mates":true,"algorithm":%q}`, alg)
+		// Twice: the second is a cache hit if the first was cached.
+		for i := 0; i < 2; i++ {
+			code, data := postJSON(t, ts.URL+"/match", body)
+			if code == http.StatusOK {
+				m := decodeMatch(t, data)
+				t.Fatalf("%s: short answer served: source %q, complete %v, |M| %d", alg, m.Source, m.Complete, m.Cardinality)
+			}
+			if code != http.StatusInternalServerError || !strings.Contains(string(data), "failed its check") {
+				t.Fatalf("%s: status %d: %s, want a 500 naming the failed check", alg, code, data)
+			}
+		}
+	}
+	if lg, ok := s.cache.getLastGood("small"); ok {
+		t.Fatalf("short answer became the floor: %+v", lg)
+	}
+	if nu, ok := s.cache.maximum(ins.Fingerprint); ok {
+		t.Fatalf("short answer gave ν = %d", nu)
+	}
+
+	mode.Store(honest)
+	code, data := postJSON(t, ts.URL+"/match", `{"instance":"small","mates":true}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %s", code, data)
+	}
+	full := decodeMatch(t, data)
+	if full.Source != "computed" || !full.Complete || full.Degraded {
+		t.Fatalf("after the seam is off: %+v, want a fresh complete answer", full)
+	}
+	if nu, ok := s.cache.maximum(ins.Fingerprint); !ok || nu != full.Cardinality {
+		t.Fatalf("ν = %d (known %v) after a certified |M| = %d", nu, ok, full.Cardinality)
+	}
+
+	for _, m := range []int32{short, broken, miscounted} {
+		mode.Store(m)
+		for _, alg := range []string{"msbfsgraft", "pf"} {
+			body := fmt.Sprintf(`{"instance":"small","algorithm":%q,"no_cache":true}`, alg)
+			code, data = postJSON(t, ts.URL+"/match", body)
+			if code != http.StatusOK {
+				t.Fatalf("mode %d, %s, with a floor: status %d: %s", m, alg, code, data)
+			}
+			if got := decodeMatch(t, data); got.Source != "last-good" || !got.Degraded || got.Cardinality != full.Cardinality {
+				t.Fatalf("mode %d, %s, with a floor: %+v, want the last-good |M| = %d", m, alg, got, full.Cardinality)
+			}
+		}
+	}
+}
+
+// TestCachedMatesEncodedOnce sends concurrent first hits with mates at one
+// cache entry: they all get the same stored bytes, built once, which equal
+// appendMates' output (run under -race in CI).
+func TestCachedMatesEncodedOnce(t *testing.T) {
+	c := newResultCache()
+	key := cacheKey{seed: 3}
+	_, fl, _ := c.begin(key)
+	mateX, mateY := []int32{2, -1, 0}, []int32{2, -1, 0, -1}
+	c.finish(key, fl, &graftmatch.Result{MateX: mateX, MateY: mateY, Cardinality: 2, Complete: true})
+	hit, _, _ := c.begin(key)
+	got := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = hit.mates()
+		}(i)
+	}
+	wg.Wait()
+	want := appendMates(nil, mateX, mateY)
+	for i, b := range got {
+		if !bytes.Equal(b, want) || &b[0] != &got[0][0] {
+			t.Fatalf("hit %d: %q at %p, want %q at %p, one copy for every hit", i, b, &b[0], want, &got[0][0])
 		}
 	}
 }

@@ -101,6 +101,10 @@ type Server struct {
 	met      serveMetrics
 	mux      *http.ServeMux
 
+	// compute runs one match. It is graftmatch.MatchContext; tests swap it
+	// to hand the server answers of their making.
+	compute func(context.Context, *graftmatch.Graph, graftmatch.Options) (*graftmatch.Result, error)
+
 	mu        sync.Mutex
 	draining  bool
 	inflight  sync.WaitGroup
@@ -150,12 +154,13 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.MaxDeadline = DefaultMaxDeadline
 	}
 	s := &Server{
-		cfg:   cfg,
-		reg:   cfg.Registry,
-		pool:  cfg.Pool,
-		adm:   NewAdmission(cfg.Admission),
-		cache: newResultCache(),
-		rec:   cfg.Recorder,
+		cfg:     cfg,
+		reg:     cfg.Registry,
+		pool:    cfg.Pool,
+		adm:     NewAdmission(cfg.Admission),
+		cache:   newResultCache(),
+		rec:     cfg.Recorder,
+		compute: graftmatch.MatchContext,
 	}
 	if s.pool == nil {
 		s.pool = par.NewPool(0)
@@ -459,7 +464,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // ---- compute path ----------------------------------------------------------
 
 // run executes one match computation under admission, the deadline and the
-// shared pool, and folds the outcome into the last-good floor.
+// shared pool, certifies a complete answer, and folds the outcome into the
+// last-good floor. A complete answer that fails its check is an engine
+// error: nothing keeps it.
 func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline time.Time) (*graftmatch.Result, error) {
 	opts := req.Options()
 	opts.Pool = s.pool
@@ -476,18 +483,58 @@ func (s *Server) run(ctx context.Context, ins *Instance, req *Request, deadline 
 	if s.cfg.CheckpointDir != "" {
 		opts.Checkpoint = &graftmatch.CheckpointOptions{Dir: s.ckptDir(ins.Name)}
 	}
-	res, err := graftmatch.MatchContext(ctx, ins.Graph, opts)
+	res, err := s.compute(ctx, ins.Graph, opts)
 	if err != nil {
 		return nil, err
 	}
+	if res.Complete {
+		if err := s.certify(ins, res); err != nil {
+			return nil, fmt.Errorf("serve: %v answer for %s failed its check: %w", opts.Algorithm, ins.Name, err)
+		}
+	}
 	s.cache.noteResult(ins.Name, opts.Algorithm.String(), res)
 	return res, nil
+}
+
+// certify proves a complete answer maximum before the cache, the floor or a
+// client sees it: the pair must be a valid matching of res.Cardinality edges,
+// and maximum (proveMaximum).
+func (s *Server) certify(ins *Instance, res *graftmatch.Result) error {
+	m := &matching.Matching{MateX: res.MateX, MateY: res.MateY}
+	card, err := m.VerifyCardinality(ins.Graph)
+	switch {
+	case err != nil:
+		return err
+	case card != res.Cardinality:
+		return fmt.Errorf("cardinality %d, but the mates hold %d", res.Cardinality, card)
+	}
+	return s.proveMaximum(ins, m, card)
+}
+
+// proveMaximum proves the valid matching m of ins, of card edges, maximum.
+// Once a proof has given the graph's ν, that is card = ν, and card < ν means
+// an augmenting path (Berge), so no search is needed. Without ν, or with a
+// card above it, which cannot be, VerifyMaximum searches, and a matching it
+// passes records ν.
+func (s *Server) proveMaximum(ins *Instance, m *matching.Matching, card int64) error {
+	if nu, ok := s.cache.maximum(ins.Fingerprint); ok && card <= nu {
+		if card < nu {
+			return matching.ErrNotMaximum
+		}
+		return nil
+	}
+	if err := matching.VerifyMaximum(ins.Graph, m); err != nil {
+		return err
+	}
+	s.cache.noteMaximum(ins.Fingerprint, card)
+	return nil
 }
 
 // matchOutcome is the resolved answer of the match pipeline before JSON
 // shaping.
 type matchOutcome struct {
 	res      *graftmatch.Result
+	hit      *cachedResult // the cache entry res came from, for a cache or inflight answer
 	lastGood *LastGood
 	source   string // computed | cache | inflight | last-good | partial
 	degraded bool
@@ -512,12 +559,12 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 	leader := true
 	if !req.NoCache {
 		cacheStart := time.Now()
-		var cached *graftmatch.Result
-		cached, fl, leader = s.cache.begin(key)
-		if cached != nil {
+		var hit *cachedResult
+		hit, fl, leader = s.cache.begin(key)
+		if hit != nil {
 			s.met.cacheHit.Add(1)
 			rec.Span("request", "cache-hit", cacheStart, time.Since(cacheStart), 0)
-			return &matchOutcome{res: cached, source: "cache"}, nil
+			return &matchOutcome{res: hit.res, hit: hit, source: "cache"}, nil
 		}
 		if !leader {
 			// Join the in-flight computation, bounded by our own
@@ -531,7 +578,7 @@ func (s *Server) getMatch(ctx context.Context, ins *Instance, req *Request, dead
 				if fl.res != nil {
 					s.met.cacheHit.Add(1)
 					rec.Span("request", "inflight-join", cacheStart, time.Since(cacheStart), 0)
-					return &matchOutcome{res: fl.res, source: "inflight"}, nil
+					return &matchOutcome{res: fl.res.res, hit: fl.res, source: "inflight"}, nil
 				}
 				// Leader finished without a complete result; fall
 				// through and compute with our remaining budget.
@@ -625,7 +672,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request, req *Reques
 	s.met.requests.Add(1)
 	// Exemplar links this latency bucket to the request's trace on /trace.
 	s.met.latency.ObserveEx(time.Since(start).Microseconds(), traceOf(reqFromCtx(r.Context())))
-	writeMatch(w, s.matchResponse(ins, req, out, time.Since(start)))
+	resp := s.matchResponse(ins, req, out, time.Since(start))
+	var mates []byte
+	if out.hit != nil && req.Mates {
+		mates = out.hit.mates()
+	}
+	writeMatch(w, resp, mates)
 }
 
 // matchResponse shapes an outcome into the wire form.
@@ -669,19 +721,27 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request, req *Reque
 		writeError(w, http.StatusNotFound, "unknown instance "+req.Instance, 0)
 		return
 	}
+	writeJSON(w, http.StatusOK, s.verify(ins, req.MateX, req.MateY))
+}
+
+// verify checks a client's matching of ins: a pair that is not a valid
+// matching gets the reason why, and a valid one is proved maximum or not
+// (proveMaximum).
+func (s *Server) verify(ins *Instance, mateX, mateY []int32) *VerifyResponse {
 	resp := &VerifyResponse{Instance: ins.Name}
-	// VerifyMaximum validates the pair before its certificate, so only a
-	// failure needs VerifyMatching, to tell an invalid pair from a valid
-	// one that is not maximum.
-	if err := graftmatch.VerifyMaximum(ins.Graph, req.MateX, req.MateY); err == nil {
-		resp.Valid, resp.Maximum = true, true
-	} else if verr := graftmatch.VerifyMatching(ins.Graph, req.MateX, req.MateY); verr != nil {
-		resp.Reason = verr.Error()
-	} else {
-		resp.Valid = true
+	m := &matching.Matching{MateX: mateX, MateY: mateY}
+	card, err := m.VerifyCardinality(ins.Graph)
+	if err != nil {
 		resp.Reason = err.Error()
+		return resp
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp.Valid = true
+	if err := s.proveMaximum(ins, m, card); err != nil {
+		resp.Reason = err.Error()
+	} else {
+		resp.Maximum = true
+	}
+	return resp
 }
 
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request, req *Request) {
@@ -883,11 +943,12 @@ func (s *Server) writeFailure(w http.ResponseWriter, r *http.Request, err error)
 }
 
 // writeMatch answers 200 with resp, built in a pooled buffer and written
-// once with its Content-Length.
-func writeMatch(w http.ResponseWriter, resp *MatchResponse) {
+// once with its Content-Length. mates, when non-nil, is resp's mate arrays
+// already encoded (cachedResult.mates).
+func writeMatch(w http.ResponseWriter, resp *MatchResponse, mates []byte) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if err := encodeMatch(buf, resp); err != nil {
+	if err := encodeMatch(buf, resp, mates); err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding answer: "+err.Error(), 0)
 		return
 	}
